@@ -82,36 +82,6 @@ func BenchmarkCandidateHeap(b *testing.B) {
 	})
 }
 
-// BenchmarkSortedColumnFastPath measures the Section 2 degenerate-query
-// optimization (single non-zero weight) against the layer walk.
-func BenchmarkSortedColumnFastPath(b *testing.B) {
-	pts := workload.Points(workload.Gaussian, benchN, 3, 83)
-	recs := make([]core.Record, len(pts))
-	for i, p := range pts {
-		recs[i] = core.Record{ID: uint64(i + 1), Vector: p}
-	}
-	ix, err := core.Build(recs, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := []float64{0, 1, 0}
-	b.Run("LayerWalk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.TopN(w, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ix.EnableSortedColumns()
-	b.Run("SortedColumn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.TopN(w, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkMaxLayersBuild quantifies the build-time cap of
 // Options.MaxLayers (catch-all interior layer) against a full peel.
 func BenchmarkMaxLayersBuild(b *testing.B) {

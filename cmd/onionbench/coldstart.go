@@ -330,8 +330,8 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 			}
 		}
 	}
-	// Batch: all weights in one fused pass, per-query results must match
-	// the solo runs on every backing.
+	// Batch: all weights in one call, per-query results must match the
+	// solo runs on every backing.
 	baseBatch, _, err := heap.TopNBatch(ws, topn)
 	if err != nil {
 		return err

@@ -49,7 +49,7 @@ var (
 	buildWorkersFlag = flag.String("build-workers", "1,2,4,8", "build-scaling: comma-separated worker counts to sweep")
 	buildOutFlag     = flag.String("build-out", "BENCH_build.json", "build-scaling: summary JSON output path")
 
-	queryScalingFlag = flag.Bool("query-scaling", false, "sweep query scoring paths (legacy/columnar/pruned/shells/batch) across dims, corpus sizes and worker counts instead of running experiments; emits -query-out JSON")
+	queryScalingFlag = flag.Bool("query-scaling", false, "sweep the query walk's pruning modes (columnar/columnar+prune/shells), gated on a brute-force oracle for every query, across dims, corpus sizes and worker counts instead of running experiments; emits -query-out JSON")
 	queryWorkersFlag = flag.String("query-workers", "1,4", "query-scaling: comma-separated worker counts to sweep and cross-check")
 	queryTopNsFlag   = flag.String("query-topns", "10,100", "query-scaling: comma-separated top-N depths to sweep")
 	queryOutFlag     = flag.String("query-out", "BENCH_query.json", "query-scaling: summary JSON output path")

@@ -17,49 +17,45 @@ import (
 //
 // The paper's evaluation counts records and layers (Table 1, Figure 9);
 // this mode measures what those counts cost on a real machine, across
-// the three scoring paths the index now has:
+// the pruning modes of the one columnar query walk:
 //
-//	legacy          per-record []float64 walk, no slabs, no pruning
 //	columnar        contiguous layer slabs, strided kernels, no pruning
 //	columnar+prune  slabs plus the Cauchy–Schwarz/axis-box layer bound
 //	shells          + spherical-shell intra-layer pruning (paper §6):
 //	                slabs bucket-ordered around each layer centroid,
 //	                angular buckets skipped by score bound
-//	batch=K         TopNBatch, K queries fused per slab pass
-//	shells+batch=K  the fused pass with shell pruning per query
 //
 // Before any timing, every (corpus × worker count) combination is
-// cross-checked: legacy, columnar (pruned and unpruned), shells (solo
-// and batched) and the batch driver must return bit-identical results
-// (IDs, score bits, layers, order), and the legacy reference itself is
-// checked against a brute-force scan. Shells are additionally checked
-// with an active delta buffer — insert-only (shell tables live) and
-// with tombstones (the shell path must stand down for deadMax) — so
-// the §6 structure composes with the LSM write path. Any mismatch
-// exits non-zero — scripts/ci.sh runs a small sweep as a regression
-// gate on exactly this property.
+// checked against a brute-force scan, query by query: every mode, solo
+// TopN and TopNBatch, shells on and off, must match the oracle's score
+// bits rank by rank and agree with each other bitwise (IDs, score
+// bits, layers, order). Shells are additionally checked with an active
+// delta buffer — insert-only (shell tables live) and with tombstones
+// (the shell path must stand down for deadMax) — so the §6 structure
+// composes with the LSM write path. Any mismatch exits non-zero —
+// scripts/ci.sh runs a small sweep as a regression gate on exactly
+// this property.
 //
 // The summary lands in -query-out (BENCH_query.json) next to
 // BENCH_build.json and BENCH_server.json. The headline block is the
-// committed acceptance number: columnar vs legacy ns/query on the
-// largest 4D corpus at one worker, with num_cpu alongside so readers
-// can judge the parallel rows.
+// committed acceptance number: columnar+prune and shells vs columnar
+// ns/query on the largest 4D corpus at one worker, with num_cpu
+// alongside so readers can judge the parallel rows.
 
 // queryScalingRun is one measured configuration of the sweep.
 type queryScalingRun struct {
-	Dim              int     `json:"dim"`
-	N                int     `json:"n"`
-	Layers           int     `json:"layers"`
-	TopN             int     `json:"topn"`
-	Mode             string  `json:"mode"`
-	Workers          int     `json:"workers"`
-	Batch            int     `json:"batch,omitempty"`
-	NsPerQuery       float64 `json:"ns_per_query"`
-	QueriesPerSec    float64 `json:"queries_per_sec"`
-	RecordsEvaluated float64 `json:"records_evaluated_avg"`
-	LayersPruned     float64 `json:"layers_pruned_avg,omitempty"`
-	RecordsSkipped   float64 `json:"records_skipped_by_shells_avg,omitempty"`
-	SpeedupVsLegacy  float64 `json:"speedup_vs_legacy,omitempty"`
+	Dim               int     `json:"dim"`
+	N                 int     `json:"n"`
+	Layers            int     `json:"layers"`
+	TopN              int     `json:"topn"`
+	Mode              string  `json:"mode"`
+	Workers           int     `json:"workers"`
+	NsPerQuery        float64 `json:"ns_per_query"`
+	QueriesPerSec     float64 `json:"queries_per_sec"`
+	RecordsEvaluated  float64 `json:"records_evaluated_avg"`
+	LayersPruned      float64 `json:"layers_pruned_avg,omitempty"`
+	RecordsSkipped    float64 `json:"records_skipped_by_shells_avg,omitempty"`
+	SpeedupVsColumnar float64 `json:"speedup_vs_columnar,omitempty"`
 }
 
 // queryHeadline is the acceptance number: the largest 4D corpus,
@@ -69,10 +65,8 @@ type queryHeadline struct {
 	N                       int     `json:"n"`
 	TopN                    int     `json:"topn"`
 	Workers                 int     `json:"workers"`
-	SpeedupColumnarVsLegacy float64 `json:"speedup_columnar_vs_legacy"`
-	SpeedupPrunedVsLegacy   float64 `json:"speedup_pruned_vs_legacy"`
-	SpeedupShellsVsLegacy   float64 `json:"speedup_shells_vs_legacy"`
-	SpeedupBatchVsLegacy    float64 `json:"speedup_batch_vs_legacy"`
+	SpeedupPrunedVsColumnar float64 `json:"speedup_pruned_vs_columnar"`
+	SpeedupShellsVsColumnar float64 `json:"speedup_shells_vs_columnar"`
 	// RecordsCutShellsVsPrune is the §6 acceptance ratio: average
 	// records evaluated by columnar+prune divided by the shells mode's,
 	// same corpus / top-N / workers as the headline speedups.
@@ -90,7 +84,6 @@ type queryScalingSummary struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    []int  `json:"workers"`
 	TopNs      []int  `json:"topns"`
-	BatchSizes []int  `json:"batch_sizes"`
 	// ServingMode records what backs the measured slabs. The sweep
 	// builds its indexes in process, so this is always "heap" here; the
 	// field exists so BENCH_query.json and BENCH_mmap.json (which
@@ -113,14 +106,8 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 	if err != nil {
 		fatal(fmt.Errorf("-query-topns: %w", err))
 	}
-	batchSizes := []int{8, 32}
 	if queries < 1 {
 		queries = 1
-	}
-	for _, bs := range batchSizes {
-		if queries < bs {
-			queries = bs // each batch size needs at least one full batch
-		}
 	}
 
 	// Corpora: the paper's evaluated dimensionalities at two scales, so
@@ -153,7 +140,6 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Workers:         workers,
 		TopNs:           topNs,
-		BatchSizes:      batchSizes,
 		ServingMode:     "heap",
 		IdenticalOutput: true,
 	}
@@ -182,78 +168,47 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 				fatal(fmt.Errorf("%dD n=%d top-%d: %w", spec.dim, spec.n, topn, err))
 			}
 		}
-		fmt.Printf("  equivalence: columnar ≡ legacy ≡ batch ≡ shells ≡ brute force at workers %v (delta on/off)\n", workers)
+		fmt.Printf("  equivalence: columnar ≡ +prune ≡ shells ≡ batch ≡ brute force at workers %v (delta on/off)\n", workers)
 
 		fmt.Printf("  %5s %8s | %-15s | %12s | %10s | %8s\n",
 			"topn", "workers", "mode", "ns/query", "records", "speedup")
 		for _, topn := range topNs {
 			for _, w := range workers {
 				ix.SetParallelism(w)
-
-				ix.DropSlabs()
-				ix.SetLayerPruning(false)
-				legacyNs, recAvg, _, _ := measureSolo(ix, ws, topn)
-				report := func(mode string, batch int, ns, rec, pruned, skipped float64) {
+				var colNs float64
+				for _, m := range queryModes {
+					m.set(ix)
+					ns, rec, pruned, skipped := measureSolo(ix, ws, topn)
 					run := queryScalingRun{
 						Dim: spec.dim, N: spec.n, Layers: ix.NumLayers(),
-						TopN: topn, Mode: mode, Workers: w, Batch: batch,
+						TopN: topn, Mode: m.name, Workers: w,
 						NsPerQuery:       ns,
 						QueriesPerSec:    1e9 / ns,
 						RecordsEvaluated: rec,
 						LayersPruned:     pruned,
 						RecordsSkipped:   skipped,
 					}
-					if mode != "legacy" {
-						run.SpeedupVsLegacy = legacyNs / ns
+					sp := "       -"
+					if colNs == 0 {
+						colNs = ns
+					} else {
+						run.SpeedupVsColumnar = colNs / ns
+						sp = fmt.Sprintf("%7.2fx", run.SpeedupVsColumnar)
 					}
 					summary.Runs = append(summary.Runs, run)
-					sp := "       -"
-					if run.SpeedupVsLegacy > 0 {
-						sp = fmt.Sprintf("%7.2fx", run.SpeedupVsLegacy)
-					}
 					fmt.Printf("  %5d %8d | %-15s | %12.0f | %10.1f | %s\n",
-						topn, w, mode, ns, rec, sp)
+						topn, w, m.name, ns, rec, sp)
 				}
-				report("legacy", 0, legacyNs, recAvg, 0, 0)
-
-				ix.BuildSlabs()
-				colNs, colRec, _, _ := measureSolo(ix, ws, topn)
-				report("columnar", 0, colNs, colRec, 0, 0)
-
-				ix.SetLayerPruning(true)
-				prNs, prRec, prPruned, _ := measureSolo(ix, ws, topn)
-				report("columnar+prune", 0, prNs, prRec, prPruned, 0)
-
-				ix.SetShellPruning(true)
-				shNs, shRec, shPruned, shSkipped := measureSolo(ix, ws, topn)
-				report("shells", 0, shNs, shRec, shPruned, shSkipped)
-				ix.SetShellPruning(false)
-
-				for _, bs := range batchSizes {
-					bNs := measureBatch(ix, ws, topn, bs)
-					report(fmt.Sprintf("batch=%d", bs), bs, bNs, prRec, prPruned, 0)
-				}
-				ix.SetShellPruning(true)
-				for _, bs := range batchSizes {
-					bNs := measureBatch(ix, ws, topn, bs)
-					report(fmt.Sprintf("shells+batch=%d", bs), bs, bNs, shRec, shPruned, shSkipped)
-				}
-				ix.SetShellPruning(false)
 			}
 		}
-		// Leave the index in the shipped configuration (harmless here,
-		// but keeps the loop honest if corpora are ever reused).
-		ix.BuildSlabs()
-		ix.SetLayerPruning(true)
 		fmt.Println()
 	}
 
 	summary.Headline = pickHeadline(summary.Runs)
 	if h := summary.Headline; h != nil {
-		fmt.Printf("headline (%dD, n=%d, top-%d, %d worker(s), %d CPU(s)): columnar %.2fx, +prune %.2fx, shells %.2fx, batch %.2fx vs legacy; shells cut records %.2fx vs +prune\n",
+		fmt.Printf("headline (%dD, n=%d, top-%d, %d worker(s), %d CPU(s)): +prune %.2fx, shells %.2fx vs columnar; shells cut records %.2fx vs +prune\n",
 			h.Dim, h.N, h.TopN, h.Workers, summary.NumCPU,
-			h.SpeedupColumnarVsLegacy, h.SpeedupPrunedVsLegacy, h.SpeedupShellsVsLegacy,
-			h.SpeedupBatchVsLegacy, h.RecordsCutShellsVsPrune)
+			h.SpeedupPrunedVsColumnar, h.SpeedupShellsVsColumnar, h.RecordsCutShellsVsPrune)
 	}
 
 	data, err := json.MarshalIndent(summary, "", "  ")
@@ -264,6 +219,20 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 		fatal(err)
 	}
 	fmt.Printf("summary written to %s\n", outPath)
+}
+
+// queryMode is one measured configuration of the walk. The first mode
+// is the speedup baseline; the last leaves the index in its shipped
+// (fully pruned, shell) configuration.
+type queryMode struct {
+	name string
+	set  func(*core.Index)
+}
+
+var queryModes = []queryMode{
+	{"columnar", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneNothing) }},
+	{"columnar+prune", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneAll) }},
+	{"shells", func(ix *core.Index) { ix.SetShellPruning(true); ix.SetPruningMode(core.PruneAll) }},
 }
 
 // pickHeadline selects the acceptance configuration: the largest 4D
@@ -285,28 +254,20 @@ func pickHeadline(runs []queryScalingRun) *queryHeadline {
 			h.TopN = r.TopN
 		}
 	}
-	bestBatch := 0.0
 	prunedRec, shellsRec := 0.0, 0.0
 	for _, r := range runs {
 		if r.Dim != h.Dim || r.N != h.N || r.TopN != h.TopN || r.Workers != 1 {
 			continue
 		}
 		switch r.Mode {
-		case "columnar":
-			h.SpeedupColumnarVsLegacy = r.SpeedupVsLegacy
 		case "columnar+prune":
-			h.SpeedupPrunedVsLegacy = r.SpeedupVsLegacy
+			h.SpeedupPrunedVsColumnar = r.SpeedupVsColumnar
 			prunedRec = r.RecordsEvaluated
 		case "shells":
-			h.SpeedupShellsVsLegacy = r.SpeedupVsLegacy
+			h.SpeedupShellsVsColumnar = r.SpeedupVsColumnar
 			shellsRec = r.RecordsEvaluated
-		default:
-			if r.Batch > 0 && r.SpeedupVsLegacy > bestBatch {
-				bestBatch = r.SpeedupVsLegacy
-			}
 		}
 	}
-	h.SpeedupBatchVsLegacy = bestBatch
 	if shellsRec > 0 {
 		h.RecordsCutShellsVsPrune = prunedRec / shellsRec
 	}
@@ -343,141 +304,34 @@ func measureSolo(ix *core.Index, ws [][]float64, topn int) (nsPerQuery, recAvg, 
 	return float64(time.Since(start).Nanoseconds()) / float64(done), recAvg, prunedAvg, skippedAvg
 }
 
-// measureBatch times TopNBatch with the query set carved into batches
-// of the given size (a trailing short batch is dropped — every timed
-// pass does identical work).
-func measureBatch(ix *core.Index, ws [][]float64, topn, batchSize int) float64 {
-	var batches [][][]float64
-	for i := 0; i+batchSize <= len(ws); i += batchSize {
-		batches = append(batches, ws[i:i+batchSize])
-	}
-	perPass := len(batches) * batchSize
-	runPass := func() {
-		for _, b := range batches {
-			if _, _, err := ix.TopNBatch(b, topn); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	runPass() // warm
-	done := 0
-	start := time.Now()
-	for time.Since(start) < 150*time.Millisecond {
-		runPass()
-		done += perPass
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(done)
-}
-
-// checkQueryEquivalence asserts that every scoring path returns
-// bit-identical results at every worker count, and that the legacy
-// reference agrees with a brute-force scan of the raw records.
+// checkQueryEquivalence asserts that every pruning mode, solo and
+// batched, returns output bit-identical to a brute-force scan for every
+// query at every worker count, then does the same for the shell path
+// over an active delta buffer.
 func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int, workers []int) error {
 	defer ix.SetParallelism(workers[0])
-	var ref [][]core.Result // reference: legacy at workers[0]
-	for wi, w := range workers {
+	oracle := newBruteOracle(recs, ws, topn)
+	for _, w := range workers {
 		ix.SetParallelism(w)
-
-		ix.DropSlabs()
-		ix.SetLayerPruning(false)
-		legacy := make([][]core.Result, len(ws))
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			legacy[q] = res
-		}
-		if wi == 0 {
-			ref = legacy
-		}
-
-		ix.BuildSlabs()
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("columnar diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetLayerPruning(true)
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("columnar+prune diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		batched, _, err := ix.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(ref[q], batched[q]) {
-				return fmt.Errorf("batch driver diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetShellPruning(true)
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("shells diverge from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		shBatched, _, err := ix.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(ref[q], shBatched[q]) {
-				return fmt.Errorf("shells batch driver diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetShellPruning(false)
-		for q := range legacy { // cross-worker determinism of the legacy walk itself
-			if !sameResults(ref[q], legacy[q]) {
-				return fmt.Errorf("legacy walk not deterministic across workers (query %d, workers=%d)", q, w)
+		for _, m := range queryModes {
+			m.set(ix)
+			if err := oracle.checkPaths(ix, ws, topn); err != nil {
+				return fmt.Errorf("%s, workers=%d: %w", m.name, w, err)
 			}
 		}
 	}
-
-	if err := checkShellsDeltaEquivalence(ix, recs, ws, topn); err != nil {
-		return err
-	}
-
-	// Brute-force oracle on a sample: scores recomputed with the same
-	// accumulation order the index uses, so equality is bitwise.
-	sample := len(ws)
-	if sample > 8 {
-		sample = 8
-	}
-	for q := 0; q < sample; q++ {
-		if err := checkBruteForce(recs, ws[q], topn, ref[q]); err != nil {
-			return fmt.Errorf("query %d: %w", q, err)
-		}
-	}
-	return nil
+	return checkShellsDeltaEquivalence(ix, recs, ws, topn)
 }
 
 // checkShellsDeltaEquivalence asserts the §6 shell path composes with
 // the LSM write path: on a shallow clone carrying an active delta
-// buffer, shells on and off must return bit-identical merged rankings,
-// and the shells-off reference must match a brute-force scan of the
-// merged record set. Two delta shapes are exercised — insert-only
-// (shell tables stay live alongside the merge stream) and mixed
-// inserts + tombstones (the shell path must stand down so deadMax
-// still covers every base record).
+// buffer, shells on and off, solo and batched, must all match a
+// brute-force scan of the merged record set. Two delta shapes are
+// exercised — insert-only (shell tables stay live alongside the merge
+// stream) and mixed inserts + tombstones (the shell path must stand
+// down so deadMax still covers every base record).
 func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int) error {
 	dim := len(recs[0].Vector)
-	ix.BuildSlabs()
-	ix.SetLayerPruning(true)
 	extraPts := workload.Points(workload.Gaussian, 48, dim, *seedFlag+303)
 	extra := make([]core.Record, len(extraPts))
 	for i, p := range extraPts {
@@ -503,35 +357,6 @@ func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]floa
 				return fmt.Errorf("delta %s: %w", shape.name, err)
 			}
 		}
-		dc.SetShellPruning(false)
-		off := make([][]core.Result, len(ws))
-		for q, wt := range ws {
-			res, _, err := dc.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			off[q] = res
-		}
-		dc.SetShellPruning(true)
-		for q, wt := range ws {
-			res, _, err := dc.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(off[q], res) {
-				return fmt.Errorf("delta %s: shells diverge from shells-off (query %d)", shape.name, q)
-			}
-		}
-		batched, _, err := dc.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(off[q], batched[q]) {
-				return fmt.Errorf("delta %s: shells batch driver diverges (query %d)", shape.name, q)
-			}
-		}
-		// Brute-force oracle over the merged record set, on a sample.
 		dead := make(map[uint64]bool, len(shape.dels))
 		for _, id := range shape.dels {
 			dead[id] = true
@@ -543,47 +368,97 @@ func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]floa
 			}
 		}
 		merged = append(merged, extra...)
-		for q := 0; q < len(ws) && q < 4; q++ {
-			if err := checkBruteForce(merged, ws[q], topn, off[q]); err != nil {
-				return fmt.Errorf("delta %s query %d: %w", shape.name, q, err)
+		oracle := newBruteOracle(merged, ws, topn)
+		for _, shells := range []bool{false, true} {
+			dc.SetShellPruning(shells)
+			if err := oracle.checkPaths(dc, ws, topn); err != nil {
+				return fmt.Errorf("delta %s, shells=%v: %w", shape.name, shells, err)
 			}
 		}
 	}
 	return nil
 }
 
-// checkBruteForce verifies one reference result list against a full
-// scan: the descending score sequence must match bitwise (ties can
-// permute IDs between equally-scored records, so IDs are checked by
-// recomputation instead of position).
-func checkBruteForce(recs []core.Record, w []float64, topn int, got []core.Result) error {
+// bruteOracle holds, per query, the descending top-n score sequence of
+// a full scan, plus every record's vector so a reported ID's score can
+// be recomputed. Scores use the index's accumulation order, so equality
+// is bitwise.
+type bruteOracle struct {
+	vec map[uint64][]float64
+	top [][]float64
+}
+
+func newBruteOracle(recs []core.Record, ws [][]float64, topn int) *bruteOracle {
+	o := &bruteOracle{vec: make(map[uint64][]float64, len(recs)), top: make([][]float64, len(ws))}
+	for _, r := range recs {
+		o.vec[r.ID] = r.Vector
+	}
 	scores := make([]float64, len(recs))
-	byID := make(map[uint64]float64, len(recs))
-	for i, r := range recs {
-		var s float64
-		for j, wj := range w {
-			s += wj * r.Vector[j]
+	for q, w := range ws {
+		for i, r := range recs {
+			scores[i] = dot(w, r.Vector)
 		}
-		scores[i] = s
-		byID[r.ID] = s
+		sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+		o.top[q] = append([]float64(nil), scores[:min(topn, len(scores))]...)
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	want := topn
-	if want > len(recs) {
-		want = len(recs)
+	return o
+}
+
+// checkPaths runs every query solo through TopN and once through
+// TopNBatch, requiring both to match the oracle and each other bitwise.
+func (o *bruteOracle) checkPaths(ix *core.Index, ws [][]float64, topn int) error {
+	batched, _, err := ix.TopNBatch(ws, topn)
+	if err != nil {
+		return err
 	}
-	if len(got) != want {
-		return fmt.Errorf("brute force: %d results, want %d", len(got), want)
+	for q, w := range ws {
+		res, _, err := ix.TopN(w, topn)
+		if err != nil {
+			return err
+		}
+		if err := o.check(q, w, res); err != nil {
+			return fmt.Errorf("query %d: %w", q, err)
+		}
+		if !sameResults(res, batched[q]) {
+			return fmt.Errorf("query %d: TopNBatch diverges from TopN", q)
+		}
+	}
+	return nil
+}
+
+// check verifies one result list against the oracle: the descending
+// score sequence must match bitwise (ties can permute IDs between
+// equally-scored records, so IDs are checked by recomputation instead
+// of position).
+func (o *bruteOracle) check(q int, w []float64, got []core.Result) error {
+	want := o.top[q]
+	if len(got) != len(want) {
+		return fmt.Errorf("brute force: %d results, want %d", len(got), len(want))
 	}
 	for i, r := range got {
-		if math.Float64bits(r.Score) != math.Float64bits(scores[i]) {
-			return fmt.Errorf("brute force: rank %d score %v, want %v", i, r.Score, scores[i])
+		if math.Float64bits(r.Score) != math.Float64bits(want[i]) {
+			return fmt.Errorf("brute force: rank %d score %v, want %v", i, r.Score, want[i])
 		}
-		if s, ok := byID[r.ID]; !ok || math.Float64bits(s) != math.Float64bits(r.Score) {
+		v, ok := o.vec[r.ID]
+		if !ok || math.Float64bits(dot(w, v)) != math.Float64bits(r.Score) {
 			return fmt.Errorf("brute force: rank %d id %d does not score %v", i, r.ID, r.Score)
 		}
 	}
 	return nil
+}
+
+// checkBruteForce verifies one result list against a full scan of recs.
+func checkBruteForce(recs []core.Record, w []float64, topn int, got []core.Result) error {
+	return newBruteOracle(recs, [][]float64{w}, topn).check(0, w, got)
+}
+
+// dot is the index's score: Σ_j w_j·x_j accumulated in attribute order.
+func dot(w, v []float64) float64 {
+	var s float64
+	for j, wj := range w {
+		s += wj * v[j]
+	}
+	return s
 }
 
 // sameResults compares two result lists bitwise (rank order, IDs,

@@ -62,15 +62,15 @@ func TestFacadeDeleteBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Accelerate()
+	ix.SetShellPruning(true)
 	if err := ix.DeleteBatch([]uint64{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 195 {
 		t.Fatalf("len = %d", ix.Len())
 	}
-	if ix.Accelerated() {
-		t.Error("acceleration survived batch delete")
+	if !ix.ShellPruning() {
+		t.Error("shell mode did not survive batch delete")
 	}
 	if err := ix.DeleteBatch([]uint64{99999}); err == nil {
 		t.Error("unknown ID accepted")

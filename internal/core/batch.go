@@ -1,26 +1,10 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/parallel"
-)
-
-// TopNBatch answers B top-N queries in one pass, returning per-query
-// results and stats positionally. Results are bit-identical to B
-// independent TopN calls — same IDs, scores, order, and ties — because
-// the per-(query, record) arithmetic is the very same ordered
-// accumulation and each query's heap consumes its layer scores in the
-// same order as a solo walk.
-//
-// The point of batching is memory traffic: solo queries each stream
-// every accessed layer's slab through the cache, so B concurrent
-// queries read the same bytes B times. The batch driver walks the
-// layers in lockstep and scores all still-active queries in one fused
-// pass per layer (scoreSlabBatch), reading each vector once for the
-// whole batch. Queries that finish early (bound pruning, limit
-// reached) drop out of the fused pass immediately.
-//
+// TopNBatch answers several top-N queries, returning per-query results
+// and stats positionally. Each query runs the same walk a solo TopN
+// runs, so results and stats are identical to independent TopN calls.
 // Any invalid weight vector fails the whole batch before any work, so
 // a batch is all-or-nothing like a single query.
 func (ix *Index) TopNBatch(weightsList [][]float64, n int) ([][]Result, []Stats, error) {
@@ -29,118 +13,11 @@ func (ix *Index) TopNBatch(weightsList [][]float64, n int) ([][]Result, []Stats,
 			return nil, nil, fmt.Errorf("core: batch query %d: %w", qi, err)
 		}
 	}
-	nq := len(weightsList)
-	results := make([][]Result, nq)
-	stats := make([]Stats, nq)
-	if n <= 0 || nq == 0 {
-		return results, stats, nil
-	}
-
-	type runner struct {
-		s *Searcher
-		q int // index into results/stats
-	}
-	live := make([]runner, 0, nq)
+	results := make([][]Result, len(weightsList))
+	stats := make([]Stats, len(weightsList))
 	for q, w := range weightsList {
-		// Same fast path a solo TopN takes; keeping it here preserves
-		// bit-for-bit equivalence (and its stats accounting) per query.
-		if ix.sorted != nil {
-			if axis, ok := singleAxis(w); ok {
-				res, st := ix.topNSorted(w, axis, n)
-				results[q], stats[q] = res, st
-				continue
-			}
-		}
-		live = append(live, runner{s: ix.NewSearcher(w, n), q: q})
-		results[q] = make([]Result, 0, min(n, ix.Len()))
-	}
-
-	// Reused per round: the queries that actually need the next layer
-	// scored, and their score/weight slices for the fused kernel.
-	group := make([]runner, 0, len(live))
-	dsts := make([][]float64, 0, len(live))
-	ws := make([][]float64, 0, len(live))
-	workers := parallel.Workers(ix.workers)
-
-	for len(live) > 0 {
-		// All live searchers sit at the same next layer: they all start
-		// at 0 and each round advances exactly one layer; a searcher that
-		// jumps ahead (pruning) drains and leaves `live` within the round.
-		k := live[0].s.k
-		if k < len(ix.layers) {
-			group = group[:0]
-			for _, r := range live {
-				if !r.s.tryPrune() {
-					group = append(group, r)
-				}
-			}
-			if len(group) > 0 {
-				ix.noteLayerAccess(k)
-				layer := ix.layers[k]
-				sl := ix.slab(k)
-				switch {
-				case ix.shellTab(k) != nil:
-					// Shell mode: fused bucket-run evaluation with
-					// per-searcher bounds (shellslab.go). Batch queries
-					// always have remain > 0, so the shell path is sound.
-					ss := make([]*Searcher, len(group))
-					for gi, r := range group {
-						ss[gi] = r.s
-					}
-					ix.consumeLayerShellsBatch(ss, k, workers)
-				case sl != nil && len(group) > 1:
-					dsts, ws = dsts[:0], ws[:0]
-					for _, r := range group {
-						dsts = append(dsts, r.s.ensureScoreBuf(len(layer)))
-						ws = append(ws, r.s.weights)
-					}
-					if workers > 1 && len(layer) >= scoreParallelMin {
-						parallel.For(len(layer), workers, scoreParallelMin, func(lo, hi int) {
-							scoreSlabBatch(dsts, sl.data, ws, lo, hi)
-						})
-					} else {
-						scoreSlabBatch(dsts, sl.data, ws, 0, len(layer))
-					}
-					for gi, r := range group {
-						// sl.pos, not the layer slice: shell tables may have
-						// bucket-reordered the slab rows the scores follow.
-						r.s.consumeLayer(sl.pos, dsts[gi])
-					}
-				default:
-					for _, r := range group {
-						r.s.consumeLayer(r.s.layerPositions(layer), r.s.layerScores(layer))
-					}
-				}
-			}
-		}
-		next := live[:0]
-		for _, r := range live {
-			for {
-				res, ok := r.s.popBuffered()
-				if !ok {
-					break
-				}
-				results[r.q] = append(results[r.q], res)
-			}
-			switch {
-			case r.s.remain == 0:
-				stats[r.q] = r.s.Stats()
-			case r.s.k >= len(ix.layers):
-				// Layers exhausted or pruned away: the rest of this
-				// query's answer is its candidate drain.
-				for r.s.remain != 0 {
-					res, ok := r.s.Next()
-					if !ok {
-						break
-					}
-					results[r.q] = append(results[r.q], res)
-				}
-				stats[r.q] = r.s.Stats()
-			default:
-				next = append(next, r)
-			}
-		}
-		live = next
+		// Validated above, so TopN cannot fail.
+		results[q], stats[q], _ = ix.TopN(w, n)
 	}
 	return results, stats, nil
 }

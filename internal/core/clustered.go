@@ -97,7 +97,9 @@ func (ix *Index) compactClustered() error {
 	if err != nil {
 		return fmt.Errorf("core: clustered compact: %w", err)
 	}
-	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers}
+	// Carrying shell mode in the options makes FromLayers (or Empty)
+	// rebuild the shell tables over the folded layers.
+	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers, Shells: ix.shellMode}
 	var next *Index
 	if len(layers) == 0 {
 		next, err = Empty(ix.dim, opt)
@@ -113,11 +115,6 @@ func (ix *Index) compactClustered() error {
 	next.joggled = ix.joggled
 	next.noPrune = ix.noPrune
 	next.noShells = ix.noShells
-	// Rebuild the shell tables over the folded layers: FromLayers built
-	// plain slabs, so BuildSlabs only adds the bucket ordering + bound
-	// tables when shell mode is carried over.
-	next.shellMode = ix.shellMode
-	next.BuildSlabs()
 	next.cc = cc2
 	*ix = *next
 	return nil
@@ -144,12 +141,11 @@ func (ix *Index) cloneForFold() *Index {
 		seed:      ix.seed,
 		workers:   ix.workers,
 		joggled:   ix.joggled,
-		slabs:     ix.slabs,
-		maxLayer:  ix.maxLayer,
+		cols:      ix.cols,
+		colLazy:   ix.colLazy,
 		noPrune:   ix.noPrune,
 		noShells:  ix.noShells,
 		shellMode: ix.shellMode,
-		shellTabs: ix.shellTabs,
 		slabSrc:   ix.slabSrc,
 		cc:        ix.cc,
 		shared:    true,

@@ -70,52 +70,33 @@ type ShellBucketExport struct {
 // ExportColumnar returns the index's columnar state with positions
 // canonicalized to the contiguous per-layer numbering (see the package
 // comment above). The receiver is never mutated — safe on a published
-// snapshot — and the returned Data slices alias the index's slabs when
-// present, so the caller must treat them as read-only. Requires an
-// empty delta buffer: the unlayered delta has no columnar form, so a
-// checkpoint folds it first (CompactedClone).
+// snapshot, where a deferred layout builds behind its latch — and the
+// returned Data slices alias the index's slabs, so the caller must
+// treat them as read-only. Requires an empty delta buffer: the
+// unlayered delta has no columnar form, so a checkpoint folds it first
+// (CompactedClone).
 func (ix *Index) ExportColumnar() ([]ColumnarLayer, error) {
 	if ix.delta != nil {
 		return nil, errors.New("core: export columnar: delta buffer pending; compact first")
 	}
 	newPos := ix.canonicalPositions()
-	out := make([]ColumnarLayer, len(ix.layers))
+	c := ix.columns()
+	out := make([]ColumnarLayer, len(c.slabs))
 	var geo *shellgeom.Geometry
-	withShells := ix.shellTabs != nil && len(ix.shellTabs) == len(ix.layers)
-	if withShells {
+	if c.shells != nil {
 		g := shellgeom.For(ix.dim)
 		geo = &g
 	}
-	for k, layer := range ix.layers {
+	for k := range c.slabs {
+		sl := &c.slabs[k]
 		cl := &out[k]
-		if sl := ix.slab(k); sl != nil {
-			cl.Data = sl.data
-			cl.Pos = remapPositions(sl.pos, newPos)
-			cl.MaxNorm = sl.maxNorm
-			cl.AxMin = sl.axMin
-			cl.AxMax = sl.axMax
-		} else {
-			// No slabs materialized (possible only on an index that never
-			// served queries): derive an equivalent plain-order slab into
-			// fresh arrays without touching the receiver.
-			pts, _ := ix.recViews()
-			data := make([]float64, len(layer)*ix.dim)
-			ids := make([]uint64, len(layer))
-			pos := make([]int, len(layer))
-			for i, p := range layer {
-				copy(data[i*ix.dim:(i+1)*ix.dim], pts[p])
-				ids[i] = ix.ids[p]
-				pos[i] = p
-			}
-			sl := newLayerSlab(data, ids, pos, ix.dim)
-			cl.Data = sl.data
-			cl.Pos = remapPositions(sl.pos, newPos)
-			cl.MaxNorm = sl.maxNorm
-			cl.AxMin = sl.axMin
-			cl.AxMax = sl.axMax
-		}
-		if withShells {
-			t := &ix.shellTabs[k]
+		cl.Data = sl.data
+		cl.Pos = remapPositions(sl.pos, newPos)
+		cl.MaxNorm = sl.maxNorm
+		cl.AxMin = sl.axMin
+		cl.AxMax = sl.axMax
+		if c.shells != nil {
+			t := &c.shells[k]
 			ex := &ShellTableExport{
 				Center:  t.center,
 				CNorm:   t.cnorm,
@@ -219,10 +200,10 @@ func geometryAxisIndex(g *shellgeom.Geometry, axis []float64) (int, error) {
 // The ID→position map (posLazy) and the per-record vector/layer views
 // (recLazy) are deferred: the layer walk needs neither, so a restart
 // serves immediately and each materializes once, on first use (posMap
-// for LayerOf/Vector/delta lookups, recViews for record enumeration
-// and sorted columns), safely under concurrent readers. Per-result
-// layer attribution needs no view at all — canonical numbering makes
-// position→layer a binary search over the layer bases (layerOfPos).
+// for LayerOf/Vector/delta lookups, recViews for record enumeration),
+// safely under concurrent readers. Per-result layer attribution needs
+// no view at all — canonical numbering makes position→layer a binary
+// search over the layer bases (layerOfPos).
 //
 // When opt.Shells is set but the persisted state carries no shell
 // tables, they are rebuilt on the heap (bucket-ordering fresh copies of
@@ -273,7 +254,6 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 	}
 	ix.layers = make([][]int, len(layers))
 	slabs := make([]layerSlab, len(layers))
-	maxLayer := 0
 	var geo *shellgeom.Geometry
 	var tabs []shellTable
 	if withShells {
@@ -316,9 +296,6 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 			data: l.Data, ids: slabIDs, pos: l.Pos,
 			maxNorm: l.MaxNorm, axMin: l.AxMin, axMax: l.AxMax,
 		}
-		if n > maxLayer {
-			maxLayer = n
-		}
 		if withShells {
 			t, err := importShellTable(l.Shell, geo, dim, n, k)
 			if err != nil {
@@ -328,11 +305,10 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 		}
 		base += n
 	}
-	ix.slabs = slabs
-	ix.maxLayer = maxLayer
-	ix.shellTabs = tabs
+	ix.cols = newColState(slabs)
+	ix.cols.shells = tabs
 	if opt.Shells && tabs == nil {
-		ix.buildShellTables()
+		ix.cols = ix.cols.withShells(dim)
 	}
 	return ix, nil
 }
@@ -444,8 +420,8 @@ type lazyRecs struct {
 // recViews returns the per-record views, materializing deferred ones
 // exactly once. Safe under concurrent readers of a shared snapshot:
 // the build only reads the immutable slabs. Forcing is reserved for
-// the record-enumeration paths (Vector, Layer, Records, sorted
-// columns, Clone) — the layer walk itself never calls it.
+// the record-enumeration paths (Vector, Layer, Records, Clone) — the
+// layer walk itself never calls it.
 func (ix *Index) recViews() ([][]float64, []int) {
 	if ix.recLazy == nil {
 		return ix.pts, ix.layerOf
@@ -459,13 +435,13 @@ func (ix *Index) recViews() ([][]float64, []int) {
 
 // buildRecViews scatters the slab columns into position-indexed pts
 // and layerOf arrays. Only valid on a canonical (FromColumnar) index,
-// whose slabs cover every position exactly once.
+// whose eagerly built slabs cover every position exactly once.
 func (ix *Index) buildRecViews() ([][]float64, []int) {
 	total := len(ix.ids)
 	pts := make([][]float64, total)
 	layerOf := make([]int, total)
-	for k := range ix.slabs {
-		sl := &ix.slabs[k]
+	for k := range ix.cols.slabs {
+		sl := &ix.cols.slabs[k]
 		for j, p := range sl.pos {
 			pts[p] = sl.data[j*ix.dim : (j+1)*ix.dim : (j+1)*ix.dim]
 			layerOf[p] = k

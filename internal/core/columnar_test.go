@@ -178,58 +178,33 @@ func TestColumnarMutationMaterializes(t *testing.T) {
 	}
 }
 
-func TestColumnarCloneAndSorted(t *testing.T) {
+// TestColumnarCloneMatches: a deep clone of a deferred (FromColumnar)
+// index forces its record views and answers exactly like the original,
+// through the shared slabs and after a mutation rebuilds its own.
+func TestColumnarCloneMatches(t *testing.T) {
 	ix := buildShells(t, 200, 3, 9)
 	got := roundTripColumnar(t, ix, Options{Seed: 9})
 
 	cp := got.Clone()
-	w := []float64{0.3, -1, 2}
-	want, _, err := got.TopN(w, 6)
-	if err != nil {
+	for _, w := range [][]float64{{0.3, -1, 2}, {0, 1, 0}} {
+		want, _, err := got.TopN(w, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, _, err := cp.TopN(w, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, have) {
+			t.Fatalf("clone of a deferred index answers differently for %v", w)
+		}
+	}
+	if err := cp.Insert(Record{ID: 5000, Vector: []float64{9, 9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	have, _, err := cp.TopN(w, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, have) {
-		t.Fatal("clone of a deferred index answers differently")
-	}
-
-	// Single-axis fast path forces the deferred views.
-	got.EnableSortedColumns()
-	if !got.SortedColumnsEnabled() {
-		t.Fatal("sorted columns did not enable")
-	}
-	axis := []float64{0, 1, 0}
-	ws, _, err := ix.TopN(axis, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, _, err := got.TopN(axis, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ws, gs) {
-		t.Fatal("sorted fast path diverges on a deferred index")
-	}
-}
-
-func TestColumnarDropSlabsKeepsServing(t *testing.T) {
-	ix := buildShells(t, 150, 3, 13)
-	got := roundTripColumnar(t, ix, Options{Seed: 13})
-	got.DropSlabs() // must materialize the views before the slabs go
-	w := []float64{1, 1, -0.5}
-	want, _, err := ix.TopN(w, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, _, err := got.TopN(w, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, have) {
-		t.Fatal("record-walk fallback diverges after DropSlabs")
+	res, _, err := cp.TopN([]float64{1, 1, 1}, 1)
+	if err != nil || res[0].ID != 5000 {
+		t.Fatalf("mutated clone: %v, %v", res, err)
 	}
 }
 

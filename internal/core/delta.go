@@ -145,7 +145,6 @@ func (ix *Index) deadPosSet() map[int]bool {
 // no hull work. Validation is all-or-nothing — a dimension mismatch or
 // duplicate ID (against the merged view and within the batch) rejects
 // the whole batch before any mutation, matching InsertBatch. The
-// sorted-column fast path is dropped (it cannot see the delta); the
 // columnar slabs stay — they describe the base layers, which are
 // untouched.
 func (ix *Index) InsertDelta(recs []Record) error {
@@ -160,7 +159,6 @@ func (ix *Index) InsertDelta(recs []Record) error {
 		seen[r.ID] = true
 	}
 	d := ix.ensureDelta()
-	ix.sorted = nil
 	for _, r := range recs {
 		vec := make([]float64, len(r.Vector))
 		copy(vec, r.Vector)
@@ -195,7 +193,6 @@ func (ix *Index) DeleteDelta(ids []uint64, missingOK bool) (int, error) {
 			continue
 		}
 		d := ix.ensureDelta()
-		ix.sorted = nil
 		if i, ok := d.byID[id]; ok {
 			// Swap-remove from the delta; fix the moved record's slot.
 			last := len(d.recs) - 1
@@ -234,7 +231,7 @@ func (ix *Index) UpdateDelta(id uint64, vector []float64) error {
 
 // CloneDelta returns a shallow clone for the serving layer's
 // clone-apply-swap publish: the base arrays (points, IDs, layers,
-// position maps, slabs) are shared by reference and only the O(delta)
+// position maps, columnar layout) are shared by reference and only the O(delta)
 // bookkeeping is copied, so publishing a mutation batch costs O(delta)
 // instead of O(index). The clone — and, from then on, its origin —
 // must never receive structural maintenance (the legacy mutators
@@ -256,12 +253,11 @@ func (ix *Index) CloneDelta() *Index {
 		seed:      ix.seed,
 		workers:   ix.workers,
 		joggled:   ix.joggled,
-		slabs:     ix.slabs,
-		maxLayer:  ix.maxLayer,
+		cols:      ix.cols,
+		colLazy:   ix.colLazy,
 		noPrune:   ix.noPrune,
 		noShells:  ix.noShells,
 		shellMode: ix.shellMode,
-		shellTabs: ix.shellTabs,
 		slabSrc:   ix.slabSrc,
 		cc:        ix.cc,
 		shared:    true,
@@ -295,7 +291,6 @@ func (ix *Index) Compact() error {
 	}
 	d := ix.delta
 	ix.delta = nil
-	ix.sorted = nil
 	if len(d.dead) > 0 {
 		deadIDs := make([]uint64, 0, len(d.dead))
 		for id := range d.dead {

@@ -102,7 +102,7 @@ func checkDeltaAgainstOracles(t *testing.T, ix *Index, rng *rand.Rand, step int)
 		sameRanking(t, "delta full stream vs brute", all, brute)
 		_ = qi
 	}
-	// Fused batch path against per-query walks.
+	// Batch path against per-query walks.
 	batch, _, err := ix.TopNBatch(ws, 6)
 	if err != nil {
 		t.Fatalf("step %d: TopNBatch: %v", step, err)

@@ -19,6 +19,7 @@ func Empty(dim int, opt Options) (*Index, error) {
 	return &Index{
 		dim:       dim,
 		posOf:     make(map[uint64]int),
+		cols:      &colState{},
 		tol:       opt.Tol,
 		seed:      opt.Seed,
 		workers:   opt.Parallelism,
@@ -60,7 +61,6 @@ func FromLayers(layers [][]Record, opt Options) (*Index, error) {
 		shellMode: opt.Shells,
 	}
 	slabs := make([]layerSlab, 0, len(layers))
-	maxLayer := 0
 	for k, l := range layers {
 		// Each layer's vectors land in one contiguous row-major arena:
 		// the per-record pts views are sub-slices of it, so the columnar
@@ -88,17 +88,13 @@ func FromLayers(layers [][]Record, opt Options) (*Index, error) {
 		}
 		ix.layers = append(ix.layers, positions)
 		slabs = append(slabs, newLayerSlab(arena, slabIDs, positions, dim))
-		if len(l) > maxLayer {
-			maxLayer = len(l)
-		}
 	}
-	ix.slabs = slabs
-	ix.maxLayer = maxLayer
+	ix.cols = newColState(slabs)
 	if ix.shellMode {
 		// Bucket-order the slabs and build the shell tables. The reorder
 		// allocates fresh slab arrays, so the pts sub-slices keep viewing
 		// the original per-layer arenas in storage order.
-		ix.buildShellTables()
+		ix.cols = ix.cols.withShells(dim)
 	}
 	return ix, nil
 }
@@ -109,6 +105,7 @@ func FromLayers(layers [][]Record, opt Options) (*Index, error) {
 // a healthy sample of directions gives high confidence that a
 // FromLayers reconstruction is a genuine Onion index.
 func (ix *Index) VerifyOrdering(weights [][]float64, slack float64) error {
+	pts, _ := ix.recViews()
 	for qi, w := range weights {
 		if len(w) != ix.dim {
 			return fmt.Errorf("core: verify query %d has dimension %d, want %d", qi, len(w), ix.dim)
@@ -119,7 +116,7 @@ func (ix *Index) VerifyOrdering(weights [][]float64, slack float64) error {
 			for i, p := range layer {
 				var s float64
 				for j, wj := range w {
-					s += wj * ix.pts[p][j]
+					s += wj * pts[p][j]
 				}
 				if i == 0 || s > best {
 					best = s

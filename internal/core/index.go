@@ -89,20 +89,17 @@ type Index struct {
 	seed    int64
 	workers int // parallelism bound (0 = one per CPU, 1 = sequential)
 	joggled bool
-	sorted  *sortedColumns // optional single-attribute fast path
 
-	// Columnar scoring layout (see slab.go). Derived, immutable state:
-	// built after construction, shared by clones, dropped on mutation.
-	slabs    []layerSlab
-	maxLayer int  // size of the largest layer when slabs are present
-	noPrune  bool // disables bound-based layer pruning (benchmarks/ablation)
-	noShells bool // disables shell (intra-layer) pruning only
-
-	// Spherical-shell tables (see shellslab.go). Derived, immutable
-	// state like the slabs: built alongside them when shellMode is on,
-	// shared by clones, dropped whenever the slabs drop.
+	// Columnar scoring layout (see slab.go): the slabs every query
+	// scores plus, when shellMode is on, the spherical-shell tables
+	// (shellslab.go). Derived, immutable state: built after
+	// construction, shared by clones, dropped on mutation and rebuilt
+	// by the first query behind colLazy. Read through columns().
+	cols      *colState
+	colLazy   *lazyCols
 	shellMode bool
-	shellTabs []shellTable
+	noPrune   bool // disables bound-based layer pruning (benchmarks/ablation)
+	noShells  bool // disables shell (intra-layer) pruning only
 
 	// Paging observer of the mmap serving mode (see columnar.go):
 	// notified before each layer evaluation so the backing store can
@@ -199,7 +196,7 @@ func Build(records []Record, opt Options) (*Index, error) {
 			opt.Progress(len(ix.layers), assigned, len(records))
 		}
 	}
-	ix.BuildSlabs()
+	ix.cols = ix.buildColumns()
 	return ix, nil
 }
 
@@ -266,9 +263,8 @@ func (ix *Index) SetPruningMode(m PruningMode) {
 	}
 }
 
-// PruningMode reports the current pruning mode (whether each kind of
-// pruning takes effect still depends on the slabs / shell tables being
-// present).
+// PruningMode reports the current pruning mode (shell pruning still
+// takes effect only in shell mode).
 func (ix *Index) PruningMode() PruningMode {
 	switch {
 	case ix.noPrune:
@@ -292,30 +288,31 @@ func (ix *Index) SetLayerPruning(on bool) {
 	}
 }
 
-// LayerPruning reports whether bound-based layer pruning is enabled
-// (it still requires the columnar slabs to be present to take effect).
+// LayerPruning reports whether bound-based layer pruning is enabled.
 func (ix *Index) LayerPruning() bool { return !ix.noPrune }
 
 // SetShellPruning enables or disables the spherical-shell index mode at
-// runtime: on builds the shell tables (bucket-ordering the slabs) if
-// the columnar layout is present, off drops the tables. The slab row
-// order is part of the derived state either way — queries never depend
-// on it — so toggling is cheap and safe between queries, but not
-// concurrently with them.
+// runtime: on builds the shell tables (bucket-ordering the slabs), off
+// drops them. A deferred layout (after a mutation) is rebuilt in the
+// new mode by the next query. The slab row order is part of the derived
+// state either way — queries never depend on it — so toggling is cheap
+// and safe between queries, but not concurrently with them.
 func (ix *Index) SetShellPruning(on bool) {
 	ix.shellMode = on
-	if !on {
-		ix.shellTabs = nil
-		return
-	}
-	if ix.slabs != nil && ix.shellTabs == nil {
-		ix.buildShellTables()
+	c := ix.cols
+	switch {
+	case c == nil:
+		// A fresh latch: the pending one may be shared with clones.
+		ix.colLazy = &lazyCols{}
+	case on && c.shells == nil:
+		ix.cols = c.withShells(ix.dim)
+	case !on && c.shells != nil:
+		ix.cols = &colState{slabs: c.slabs, maxLayer: c.maxLayer}
 	}
 }
 
-// ShellPruning reports whether the shell index mode is enabled (the
-// tables may still be absent until BuildSlabs runs, and shell pruning
-// only takes effect in PruneAll mode).
+// ShellPruning reports whether the shell index mode is enabled (shell
+// pruning only takes effect in PruneAll mode).
 func (ix *Index) ShellPruning() bool { return ix.shellMode }
 
 func (ix *Index) appendLayer(positions []int) {

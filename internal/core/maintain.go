@@ -291,13 +291,12 @@ func (ix *Index) Update(id uint64, vector []float64) error {
 	return nil
 }
 
-// alloc stores a record and returns its position. Any mutation
-// invalidates the optional sorted-column fast path and the columnar
-// scoring slabs (both are derived from a layer partition this mutation
-// is about to change), and detaches the hierarchical compactor (its
-// per-cluster record sets no longer describe the base).
+// alloc stores a record and returns its position. Any mutation defers
+// the columnar scoring slabs to the next query (they are derived from a
+// layer partition this mutation is about to change), and detaches the
+// hierarchical compactor (its per-cluster record sets no longer
+// describe the base).
 func (ix *Index) alloc(rec Record) int {
-	ix.sorted = nil
 	ix.invalidateSlabs()
 	ix.cc = nil
 	vec := make([]float64, len(rec.Vector))
@@ -321,7 +320,6 @@ func (ix *Index) alloc(rec Record) int {
 
 // unalloc releases a position (used on insert failure and by Delete).
 func (ix *Index) unalloc(id uint64, pos int) {
-	ix.sorted = nil
 	ix.invalidateSlabs()
 	ix.cc = nil
 	delete(ix.posOf, id)

@@ -51,10 +51,8 @@ var scoreParallelMin = 4096
 
 // ErrNonFiniteWeight is returned by queries whose weight vector carries
 // a NaN or ±Inf component. Such weights would otherwise flow straight
-// through the arithmetic: NaN poisons every score (and defeats the
-// heap ordering, yielding garbage ranks), and the single-axis test
-// counts NaN as a live axis, so the sorted-column fast path would
-// happily emit NaN-scored results. Rejecting at the query boundary
+// through the arithmetic: NaN poisons every score and defeats the heap
+// ordering, yielding garbage ranks. Rejecting at the query boundary
 // keeps every downstream comparison meaningful.
 var ErrNonFiniteWeight = errors.New("core: non-finite weight")
 
@@ -89,8 +87,6 @@ func ValidateWeights(weights []float64, dim int) error {
 // beats the maximum of the current layer, which no deeper layer can
 // exceed (Corollary 1).
 func (ix *Index) TopN(weights []float64, n int) ([]Result, Stats, error) {
-	// Validate before consulting any fast path so that a bad weight
-	// vector fails identically whether or not sorted columns are enabled.
 	if err := ValidateWeights(weights, ix.dim); err != nil {
 		return nil, Stats{}, err
 	}
@@ -100,12 +96,6 @@ func (ix *Index) TopN(weights []float64, n int) ([]Result, Stats, error) {
 		// unbounded stream — a sensible default for progressive retrieval
 		// but an OOM-shaped surprise for a bounded one-shot query.)
 		return nil, Stats{}, nil
-	}
-	if ix.sorted != nil {
-		if axis, ok := singleAxis(weights); ok {
-			res, st := ix.topNSorted(weights, axis, n)
-			return res, st, nil
-		}
 	}
 	s := ix.NewSearcher(weights, n)
 	// n is caller-controlled; clamp the preallocation by the number of
@@ -127,6 +117,7 @@ func (ix *Index) TopN(weights []float64, n int) ([]Result, Stats, error) {
 // clients can consume a prefix and abandon the rest at no extra cost.
 type Searcher struct {
 	ix       *Index
+	cols     *colState // the index's columnar layout, resolved once
 	weights  []float64
 	remain   int     // results still to deliver; <0 means unbounded
 	k        int     // next layer to evaluate
@@ -193,7 +184,7 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 	if limit <= 0 {
 		limit = -1
 	}
-	s := &Searcher{ix: ix, weights: w, remain: limit}
+	s := &Searcher{ix: ix, cols: ix.columns(), weights: w, remain: limit}
 	if ix.delta != nil && len(ix.delta.recs) > 0 {
 		// Brute-force the delta up front: every pending record is scored
 		// exactly once per query, which the stats account like a layer.
@@ -280,35 +271,6 @@ func (s *Searcher) deliverBase() Result {
 	return r
 }
 
-// popBuffered delivers one already-computed result without ever
-// advancing a layer — the hand-crank the batch driver uses to drain
-// each searcher's emit buffer between lockstep layer evaluations. It
-// performs exactly Next's delivery bookkeeping, including the delta
-// merge: a delta record is delivered only when it beats a buffered
-// base head (when the buffer is empty the next base result is unknown,
-// so the driver must advance a layer or finish the query through Next
-// before the delta may drain).
-func (s *Searcher) popBuffered() (Result, bool) {
-	if s.remain == 0 {
-		return Result{}, false
-	}
-	baseOK := s.emitPos < len(s.emit)
-	if s.deltaRank != nil && s.deltaPos < len(s.deltaRank) && baseOK {
-		d := s.deltaRank[s.deltaPos]
-		if topk.ResultGreater(d.Score, d.ID, s.emit[s.emitPos].Score, s.emit[s.emitPos].ID) {
-			s.deltaPos++
-			if s.remain > 0 {
-				s.remain--
-			}
-			return d, true
-		}
-	}
-	if !baseOK {
-		return Result{}, false
-	}
-	return s.deliverBase(), true
-}
-
 // advance evaluates one more layer (or drains the candidate set once
 // layers are exhausted or pruned away) and refills the emit buffer. It
 // reports false when nothing remains.
@@ -324,30 +286,21 @@ func (s *Searcher) advance() bool {
 	// chance to advise the layer's extents in. Pruned layers never get
 	// here, so skipped scoring is skipped I/O too.
 	ix.noteLayerAccess(s.k)
-	layer := ix.layers[s.k]
+	sl := &s.cols.slabs[s.k]
 	if s.remain > 0 {
 		// Shell evaluation needs a bounded keep so the collector can fill
 		// and its threshold become a pruning floor; unbounded searches
 		// keep every record anyway, so the full scan is already optimal.
-		if t := ix.shellTab(s.k); t != nil {
-			s.consumeLayerShells(len(layer), ix.slab(s.k), t)
+		if t := s.shellTab(); t != nil {
+			s.consumeLayerShells(sl, t)
 			return true
 		}
 	}
-	scores := s.layerScores(layer)
-	s.consumeLayer(s.layerPositions(layer), scores)
+	n := len(sl.pos)
+	scores := s.ensureScoreBuf(n)
+	s.scoreRows(sl, scores, 0, n)
+	s.consumeLayer(sl.pos, scores)
 	return true
-}
-
-// layerPositions returns the position list parallel to layerScores'
-// output for the current layer: the slab's pos array when a slab exists
-// (its rows may be bucket-reordered relative to the layer slice by the
-// shell tables), the layer slice itself otherwise.
-func (s *Searcher) layerPositions(layer []int) []int {
-	if sl := s.ix.slab(s.k); sl != nil {
-		return sl.pos
-	}
-	return layer
 }
 
 // drainCandidates finalizes pending candidates once no deeper layer can
@@ -375,19 +328,19 @@ func (s *Searcher) drainCandidates() bool {
 // — no unscored record can ever enter the remaining top results, so
 // the walk ends and the candidates drain in heap order. The strict
 // comparison is what keeps the output bit-identical to the unpruned
-// walk: at an exact tie the record-walk prefers the deeper layer's
+// walk: at an exact tie the walk prefers the deeper layer's
 // record, so a tied bound must not prune. Reports whether it pruned
 // (s.k jumps past the last layer).
 func (s *Searcher) tryPrune() bool {
 	ix := s.ix
-	if s.remain <= 0 || ix.slabs == nil || ix.noPrune {
+	if s.remain <= 0 || ix.noPrune {
 		return false
 	}
 	if s.cand.Len() < s.remain {
 		return false
 	}
 	s.ensureWNorm()
-	bound := ix.slabs[s.k].scoreBound(s.weights, s.wnorm)
+	bound := s.cols.slabs[s.k].scoreBound(s.weights, s.wnorm)
 	beat := 0
 	for _, it := range s.cand.Items() {
 		if it.Score > bound {
@@ -422,66 +375,30 @@ func (s *Searcher) ensureWNorm() {
 }
 
 // ensureScoreBuf guarantees scratch for n scores, sized once at the
-// largest layer when the columnar layout is present so warm advances
-// never reallocate.
+// largest layer so warm advances never reallocate.
 func (s *Searcher) ensureScoreBuf(n int) []float64 {
 	if cap(s.scoreBuf) < n {
-		sz := n
-		if s.ix.slabs != nil && s.ix.maxLayer > sz {
-			sz = s.ix.maxLayer
-		}
-		s.scoreBuf = make([]float64, sz)
+		s.scoreBuf = make([]float64, max(n, s.cols.maxLayer))
 	}
 	return s.scoreBuf[:n]
 }
 
-// layerScores fills the score scratch for the searcher's current layer:
-// a strided pass over the columnar slab when one exists, the legacy
-// record-walk over pts otherwise. Large layers are partitioned across
-// the worker pool by slab row range; each worker fills its own slots,
-// and the heap then consumes the scores in layer order, exactly as the
-// sequential loop would, so the selected top-k (ties included) is
-// identical at any parallelism.
-func (s *Searcher) layerScores(layer []int) []float64 {
-	ix := s.ix
-	n := len(layer)
-	scores := s.ensureScoreBuf(n)
-	workers := parallel.Workers(ix.workers)
-	if sl := ix.slab(s.k); sl != nil {
-		if workers > 1 && n >= scoreParallelMin {
-			w := s.weights
-			parallel.For(n, workers, scoreParallelMin, func(lo, hi int) {
-				scoreSlabRange(scores, sl.data, w, lo, hi)
-			})
-		} else {
-			scoreSlabRange(scores, sl.data, s.weights, 0, n)
-		}
-		return scores
-	}
-	pts, _ := ix.recViews()
-	if workers > 1 && n >= scoreParallelMin {
-		weights := s.weights
-		parallel.For(n, workers, scoreParallelMin, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := pts[layer[i]]
-				var score float64
-				for j, wj := range weights {
-					score += wj * v[j]
-				}
-				scores[i] = score
-			}
+// scoreRows fills scores[lo:hi] with the searcher's dot product over
+// slab rows [lo, hi). Large runs are partitioned across the worker pool
+// by row range; each worker fills its own slots, and the collector then
+// consumes the scores in row order exactly as the sequential loop
+// would, so the selected top-k (ties included) is identical at any
+// parallelism.
+func (s *Searcher) scoreRows(sl *layerSlab, scores []float64, lo, hi int) {
+	workers := parallel.Workers(s.ix.workers)
+	if workers > 1 && hi-lo >= scoreParallelMin {
+		w := s.weights
+		parallel.For(hi-lo, workers, scoreParallelMin, func(a, b int) {
+			scoreSlabRange(scores, sl.data, w, lo+a, lo+b)
 		})
-	} else {
-		for i, p := range layer {
-			v := pts[p]
-			var score float64
-			for j, wj := range s.weights {
-				score += wj * v[j]
-			}
-			scores[i] = score
-		}
+		return
 	}
-	return scores
+	scoreSlabRange(scores, sl.data, s.weights, lo, hi)
 }
 
 // beginLayer starts a layer evaluation of n records: resets the emit
@@ -490,7 +407,6 @@ func (s *Searcher) layerScores(layer []int) []float64 {
 // top-N because enough stronger records exist in this very layer;
 // unbounded searches keep the whole layer).
 func (s *Searcher) beginLayer(n int) {
-	ix := s.ix
 	s.emit = s.emit[:0]
 	s.emitPos = 0
 	keep := n
@@ -499,14 +415,11 @@ func (s *Searcher) beginLayer(n int) {
 	}
 	if s.best == nil {
 		// Size the reusable collector once: no later layer can need more
-		// than min(current remaining, largest layer) slots, so on the
-		// columnar path (maxLayer known) warm advances never grow it.
-		hint := keep
-		if ix.slabs != nil {
-			hint = ix.maxLayer
-			if s.remain > 0 && s.remain < hint {
-				hint = s.remain
-			}
+		// than min(current remaining, largest layer) slots, so warm
+		// advances never grow it.
+		hint := s.cols.maxLayer
+		if s.remain > 0 && s.remain < hint {
+			hint = s.remain
 		}
 		if hint < keep {
 			hint = keep
@@ -519,9 +432,8 @@ func (s *Searcher) beginLayer(n int) {
 
 // consumeLayer folds one scored layer into the searcher's state: offers
 // every live record to the collector, then finalizes through
-// finishLayer. pos lists internal positions parallel to scores —
-// the slab's pos array on the columnar path (see layerPositions), where
-// shell tables may have bucket-reordered the rows.
+// finishLayer. pos lists internal positions parallel to scores — the
+// slab's pos array, whose rows shell tables may have bucket-reordered.
 func (s *Searcher) consumeLayer(pos []int, scores []float64) {
 	s.beginLayer(len(pos))
 	// Tombstoned positions (delta buffer deletes, see delta.go) are
@@ -565,7 +477,7 @@ func (s *Searcher) finishLayer(evaluated int, deadMax float64, haveDead bool) {
 	// whether the live layer maximum itself is final — it is unless a
 	// tombstone strictly beats it, in which case an unseen deeper record
 	// may still outrank it and t[0] must stay a candidate. Without
-	// tombstones this is exactly the legacy unconditional emission.
+	// tombstones this is exactly the unconditional emission.
 	var maxT float64
 	emitTop := false
 	switch {

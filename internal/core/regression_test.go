@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,12 +30,6 @@ func TestTopNNonPositiveN(t *testing.T) {
 		if st.RecordsEvaluated != 0 {
 			t.Fatalf("n=%d: evaluated %d records for an empty answer", n, st.RecordsEvaluated)
 		}
-	}
-	// The sorted-column fast path must agree on the contract.
-	ix.EnableSortedColumns()
-	res, _, err := ix.TopN([]float64{0, 5, 0}, 0)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("sorted path n=0: got %d results, err %v", len(res), err)
 	}
 }
 
@@ -66,9 +61,7 @@ func TestTopNHugeNPreallocation(t *testing.T) {
 }
 
 // TestNonFiniteWeightsRejected pins the typed-error contract for NaN
-// and ±Inf weight components across every query entry point, including
-// the sorted-column fast path (which would otherwise emit NaN-scored
-// results because NaN counts as a live axis in the single-axis test).
+// and ±Inf weight components across every query entry point.
 func TestNonFiniteWeightsRejected(t *testing.T) {
 	ix := buildRand(t, workload.Gaussian, 200, 3, 10)
 	bad := [][]float64{
@@ -91,11 +84,8 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 	if err := ValidateWeights([]float64{1, 2}, 3); err == nil || errors.Is(err, ErrNonFiniteWeight) {
 		t.Fatalf("dimension mismatch: err = %v", err)
 	}
-	// The sorted fast path must reject before consulting the columns:
-	// [NaN,0,0] looks single-axis to a naive scan.
-	ix.EnableSortedColumns()
-	if _, _, err := ix.TopN([]float64{math.NaN(), 0, 0}, 5); !errors.Is(err, ErrNonFiniteWeight) {
-		t.Fatalf("sorted path: err = %v, want ErrNonFiniteWeight", err)
+	if _, _, err := ix.TopNBatch([][]float64{{0, 1, 0}, {math.NaN(), 0, 0}}, 5); !errors.Is(err, ErrNonFiniteWeight) {
+		t.Fatalf("TopNBatch: err = %v, want ErrNonFiniteWeight", err)
 	}
 	// Finite queries still work afterwards.
 	if _, _, err := ix.TopN([]float64{0, 1, 0}, 5); err != nil {
@@ -203,13 +193,13 @@ func TestUpdateRollbackOnDeleteFailure(t *testing.T) {
 	}
 }
 
-// TestSortedFastPathPropertyAfterMaintenance is the property test the
-// issue asks for: after a mixed Insert/Delete/Update sequence, enabling
-// sorted columns and running degenerate (single-axis) queries must give
-// exactly the ranking a brute-force scan gives, and exactly what the
-// layered walk gives with the fast path disabled. Exercises both axis
-// signs and several n, including n > live count.
-func TestSortedFastPathPropertyAfterMaintenance(t *testing.T) {
+// TestSingleAxisQueriesAfterMaintenance: after a mixed
+// Insert/Delete/Update sequence, degenerate (single-axis) queries — the
+// paper's Section 2 case, answered by the layer walk — must give
+// exactly the ranking a brute-force scan gives, and exactly what a
+// clone gives. Exercises both axis signs and several n, including
+// n > live count.
+func TestSingleAxisQueriesAfterMaintenance(t *testing.T) {
 	const d = 3
 	pts := workload.Points(workload.Gaussian, 500, d, 13)
 	ix, err := Build(mkRecords(pts), Options{Seed: 2})
@@ -279,21 +269,14 @@ func TestSortedFastPathPropertyAfterMaintenance(t *testing.T) {
 		oraclePts = append(oraclePts, v)
 	}
 
-	ix.EnableSortedColumns()
-	if !ix.SortedColumnsEnabled() {
-		t.Fatal("sorted columns did not enable")
-	}
 	for axis := 0; axis < d; axis++ {
 		for _, sign := range []float64{3.5, -2} {
 			w := make([]float64, d)
 			w[axis] = sign
 			for _, n := range []int{1, 10, 137, len(live) + 50} {
-				fast, fastStats, err := ix.TopN(w, n)
+				fast, _, err := ix.TopN(w, n)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if fastStats.LayersAccessed != 0 {
-					t.Fatalf("axis %d: fast path accessed %d layers — not taken", axis, fastStats.LayersAccessed)
 				}
 				wantLen := n
 				if wantLen > len(live) {
@@ -312,20 +295,12 @@ func TestSortedFastPathPropertyAfterMaintenance(t *testing.T) {
 							axis, sign, n, i, fast[i].Score, brute[i].score)
 					}
 				}
-				// Oracle 2: the layered walk on a clone without the fast path.
-				slow, slowStats, err := ix.Clone().TopN(w, n)
+				// Oracle 2: the same walk on a clone.
+				slow, _, err := ix.Clone().TopN(w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if slowStats.LayersAccessed == 0 && len(slow) > 0 {
-					t.Fatal("clone unexpectedly kept sorted columns")
-				}
-				for i := range fast {
-					if math.Abs(fast[i].Score-slow[i].Score) > 1e-9 {
-						t.Fatalf("axis %d sign %v n=%d rank %d: fast %v vs layered %v",
-							axis, sign, n, i, fast[i].Score, slow[i].Score)
-					}
-				}
+				resultsBitIdentical(t, fmt.Sprintf("axis %d sign %v n=%d clone", axis, sign, n), fast, slow)
 			}
 		}
 	}

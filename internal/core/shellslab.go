@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/shellgeom"
 	"repro/internal/topk"
 )
@@ -21,13 +20,13 @@ import (
 // first-class mode of the core index — sharing the bucket layout
 // through internal/shellgeom — so every serving path (solo walk,
 // progressive search, TopNBatch, the delta merge, hierarchical
-// compaction folds) gets the saving without leaving the bit-identical
-// columnar machinery:
+// compaction folds) gets the saving, since they all run the one
+// Searcher walk:
 //
-//   - At BuildSlabs time (shell mode on), each layer's slab rows are
-//     reordered by angular bucket around the layer centroid, so a
-//     bucket is one contiguous run of rows the strided kernels can
-//     stream through. Reordering is sound because the slab carries its
+//   - When the columnar layout is built (shell mode on), each layer's
+//     slab rows are reordered by angular bucket around the layer
+//     centroid, so a bucket is one contiguous run of rows the strided
+//     kernels can stream through. Reordering is sound because the slab carries its
 //     own ids/pos arrays and every collector in the query path orders
 //     by the total order (score descending, position ascending), never
 //     by offer order — the selected top-k of a layer is a set, not a
@@ -80,27 +79,23 @@ type shellRef struct {
 	bound float64
 }
 
-// buildShellTables reorders every slab by angular bucket and computes
-// the per-bucket bound tables. Requires slabs to be present; BuildSlabs
-// keeps it idempotent (shellTabs is cleared whenever slabs drop).
+// withShells returns a copy of the layout with every slab reordered by
+// angular bucket and the per-bucket bound tables built. The receiver is
+// untouched — its slabs may be shared with clones, which keep their
+// original row order and never observe a torn data/ids/pos triple.
 // Entirely deterministic: bucket assignment depends only on the layer
 // data, and the within-bucket order preserves the slab order (stable
 // counting sort), so fingerprint-style oracles see the same slab
 // permutation at every worker count and on every rebuild.
-func (ix *Index) buildShellTables() {
-	g := shellgeom.For(ix.dim)
-	// The slab slice may be shared with clones (Clone/CloneDelta carry
-	// it by reference), so the reorder works on a private copy of the
-	// slab headers: the sharing index keeps its original row order and
-	// never observes a torn data/ids/pos triple.
-	slabs := make([]layerSlab, len(ix.slabs))
-	copy(slabs, ix.slabs)
+func (c *colState) withShells(dim int) *colState {
+	g := shellgeom.For(dim)
+	slabs := make([]layerSlab, len(c.slabs))
+	copy(slabs, c.slabs)
 	tabs := make([]shellTable, len(slabs))
 	for k := range slabs {
-		tabs[k] = buildShellTable(&slabs[k], &g, ix.dim)
+		tabs[k] = buildShellTable(&slabs[k], &g, dim)
 	}
-	ix.slabs = slabs
-	ix.shellTabs = tabs
+	return &colState{slabs: slabs, maxLayer: c.maxLayer, shells: tabs}
 }
 
 // buildShellTable reorders one slab (fresh arrays; the old ones may be
@@ -215,17 +210,19 @@ func buildShellTable(sl *layerSlab, g *shellgeom.Geometry, dim int) shellTable {
 	return t
 }
 
-// shellTab returns layer k's shell table when shell evaluation is sound
-// for the index's current state, else nil. Tombstones (delta buffer
-// deletes) disable the shell walk: the Corollary 1 finalization bound
-// needs the maximum over every record of the layer including dead ones,
-// which a partial evaluation cannot provide. Compaction folds the
-// tombstones away and restores the fast path.
-func (ix *Index) shellTab(k int) *shellTable {
-	if ix.shellTabs == nil || ix.noShells || ix.noPrune || ix.deadPosSet() != nil {
+// shellTab returns the current layer's shell table when shell
+// evaluation is sound for the index's current state, else nil.
+// Tombstones (delta buffer deletes) disable the shell walk: the
+// Corollary 1 finalization bound needs the maximum over every record of
+// the layer including dead ones, which a partial evaluation cannot
+// provide. Compaction folds the tombstones away and restores the fast
+// path.
+func (s *Searcher) shellTab() *shellTable {
+	ix := s.ix
+	if s.cols.shells == nil || ix.noShells || ix.noPrune || ix.deadPosSet() != nil {
 		return nil
 	}
-	return &ix.shellTabs[k]
+	return &s.cols.shells[s.k]
 }
 
 // shellBucketBound returns a sound upper bound on w·x over every record
@@ -331,22 +328,6 @@ func (s *Searcher) shellSchedule(t *shellTable) []shellRef {
 	return ord
 }
 
-// scoreShellRun scores one bucket run of the slab into the searcher's
-// score scratch, partitioning large runs across the worker pool exactly
-// like layerScores (each worker fills disjoint slots, so the scores are
-// identical at every worker count).
-func (s *Searcher) scoreShellRun(sl *layerSlab, scores []float64, lo, hi int) {
-	workers := parallel.Workers(s.ix.workers)
-	if workers > 1 && hi-lo >= scoreParallelMin {
-		w := s.weights
-		parallel.For(hi-lo, workers, scoreParallelMin, func(a, b int) {
-			scoreSlabRange(scores, sl.data, w, lo+a, lo+b)
-		})
-		return
-	}
-	scoreSlabRange(scores, sl.data, s.weights, lo, hi)
-}
-
 // consumeLayerShells evaluates the searcher's current layer through its
 // shell table: buckets in decreasing bound order, stopping as soon as
 // the layer's top-keep collector is full and the next bound cannot beat
@@ -358,7 +339,8 @@ func (s *Searcher) scoreShellRun(sl *layerSlab, scores []float64, lo, hi int) {
 // tie-break; and the layer maximum is never skipped (its bucket's bound
 // is ≥ the layer maximum ≥ any threshold), so the Corollary 1
 // finalization bound maxT is exact.
-func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
+func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
+	n := len(sl.pos)
 	s.beginLayer(n)
 	scores := s.ensureScoreBuf(n)
 	ord := s.shellSchedule(t)
@@ -371,7 +353,7 @@ func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
 			break
 		}
 		b := &t.buckets[ref.bi]
-		s.scoreShellRun(sl, scores, b.lo, b.hi)
+		s.scoreRows(sl, scores, b.lo, b.hi)
 		for i := b.lo; i < b.hi; i++ {
 			s.best.Offer(topk.Item{ID: sl.pos[i], Score: scores[i]})
 		}
@@ -383,105 +365,4 @@ func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
 	}
 	s.stats.ShellLayers++
 	s.finishLayer(evaluated, 0, false)
-}
-
-// consumeLayerShellsBatch is the fused-batch counterpart: every live
-// searcher shares one pass over each evaluated bucket run
-// (scoreSlabBatch reads each vector once for the whole sub-batch), but
-// keeps its own bounds, threshold, and collector. Buckets are visited
-// in decreasing max-over-queries bound order; a searcher simply sits
-// out buckets its own bound has ruled out (skip, not stop — the shared
-// order is not monotone per searcher). Per-searcher kept sets are
-// identical to solo shell walks, hence to the full scan; only the
-// evaluated-record counts may differ from solo (the shared order can
-// fill a collector earlier or later than the searcher's own).
-func (ix *Index) consumeLayerShellsBatch(ss []*Searcher, k int, workers int) {
-	n := len(ix.layers[k])
-	sl := &ix.slabs[k]
-	t := &ix.shellTabs[k]
-
-	type plan struct {
-		s      *Searcher
-		scores []float64
-		bounds []float64 // by bucket index
-		eval   int
-		pruned float64 // last bound that ruled a bucket out (trace)
-		hasP   bool
-	}
-	nb := len(t.buckets)
-	plans := make([]plan, len(ss))
-	for i, s := range ss {
-		s.beginLayer(n)
-		ord := s.shellSchedule(t)
-		bounds := make([]float64, nb)
-		for _, ref := range ord {
-			bounds[ref.bi] = ref.bound
-		}
-		plans[i] = plan{s: s, scores: s.ensureScoreBuf(n), bounds: bounds}
-	}
-
-	// Shared bucket order: decreasing maximum bound across the batch, so
-	// collectors fill from globally promising buckets early even though
-	// the order is shared.
-	order := make([]shellRef, nb)
-	for bi := range t.buckets {
-		m := math.Inf(-1)
-		for i := range plans {
-			if plans[i].bounds[bi] > m {
-				m = plans[i].bounds[bi]
-			}
-		}
-		order[bi] = shellRef{bi: bi, bound: m}
-	}
-	sortShellRefs(order)
-
-	sub := make([]*plan, 0, len(plans))
-	dsts := make([][]float64, 0, len(plans))
-	ws := make([][]float64, 0, len(plans))
-	for _, ref := range order {
-		b := &t.buckets[ref.bi]
-		sub, dsts, ws = sub[:0], dsts[:0], ws[:0]
-		for i := range plans {
-			p := &plans[i]
-			if th, full := p.s.best.Threshold(); full && p.bounds[ref.bi] < th {
-				if !p.hasP || p.bounds[ref.bi] < p.pruned {
-					p.pruned, p.hasP = p.bounds[ref.bi], true
-				}
-				continue
-			}
-			sub = append(sub, p)
-			dsts = append(dsts, p.scores)
-			ws = append(ws, p.s.weights)
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		if len(sub) > 1 {
-			if workers > 1 && b.hi-b.lo >= scoreParallelMin {
-				parallel.For(b.hi-b.lo, workers, scoreParallelMin, func(a, c int) {
-					scoreSlabBatch(dsts, sl.data, ws, b.lo+a, b.lo+c)
-				})
-			} else {
-				scoreSlabBatch(dsts, sl.data, ws, b.lo, b.hi)
-			}
-		} else {
-			sub[0].s.scoreShellRun(sl, sub[0].scores, b.lo, b.hi)
-		}
-		for _, p := range sub {
-			for i := b.lo; i < b.hi; i++ {
-				p.s.best.Offer(topk.Item{ID: sl.pos[i], Score: p.scores[i]})
-			}
-			p.eval += b.hi - b.lo
-		}
-	}
-
-	for i := range plans {
-		p := &plans[i]
-		if skipped := n - p.eval; skipped > 0 {
-			p.s.stats.RecordsSkippedByShells += skipped
-			p.s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: p.s.k, Score: p.pruned, Evaluated: skipped})
-		}
-		p.s.stats.ShellLayers++
-		p.s.finishLayer(p.eval, 0, false)
-	}
 }

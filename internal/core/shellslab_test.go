@@ -31,7 +31,7 @@ func bruteScoreSeq(vecs [][]float64, w []float64, n int) []float64 {
 // TestShellsMatchPlainAndBruteAfterMixedMaintenance is the shell-mode
 // acceptance property: a shells-enabled index and a plain twin fed the
 // identical mutation schedule return bit-identical top-N output — solo
-// TopN and the fused TopNBatch, workers 1 and 4 — through every
+// TopN and TopNBatch, workers 1 and 4 — through every
 // lifecycle stage: fresh build, insert-only delta buffer (shells live
 // over the base layers), tombstoned delta buffer (shells stand down but
 // answers must not move), and post-compaction (tables rebuilt). The
@@ -52,10 +52,10 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !shellIx.ShellPruning() || shellIx.shellTabs == nil {
+		if !shellIx.ShellPruning() || shellIx.columns().shells == nil {
 			t.Fatalf("%dD: Options.Shells did not materialize shell tables", d)
 		}
-		if plainIx.shellTabs != nil {
+		if plainIx.columns().shells != nil {
 			t.Fatalf("%dD: plain build grew shell tables", d)
 		}
 
@@ -172,14 +172,14 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 		check("tombstoned-delta")
 
 		// Compaction folds the buffer and must rebuild the shell tables:
-		// the mode is index state, not an accident of the last BuildSlabs.
+		// the mode is index state, not an accident of the last build.
 		if err := shellIx.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		if err := plainIx.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if !shellIx.ShellPruning() || shellIx.shellTabs == nil {
+		if !shellIx.ShellPruning() || shellIx.columns().shells == nil {
 			t.Fatalf("%dD: compaction dropped the shell tables", d)
 		}
 		skippedBefore = totalSkipped
@@ -284,7 +284,7 @@ func TestPruningModeSemantics(t *testing.T) {
 
 	// Runtime toggling drops and rebuilds the tables.
 	ix.SetShellPruning(false)
-	if ix.ShellPruning() || ix.shellTabs != nil {
+	if ix.ShellPruning() || ix.columns().shells != nil {
 		t.Fatal("SetShellPruning(false) left tables behind")
 	}
 	off := run()
@@ -292,7 +292,7 @@ func TestPruningModeSemantics(t *testing.T) {
 		resultsBitIdentical(t, fmt.Sprintf("shells-off q%d", i), off.res[i], all.res[i])
 	}
 	ix.SetShellPruning(true)
-	if !ix.ShellPruning() || ix.shellTabs == nil {
+	if !ix.ShellPruning() || ix.columns().shells == nil {
 		t.Fatal("SetShellPruning(true) did not rebuild the tables")
 	}
 	if p := run(); p.skipped == 0 {
@@ -388,8 +388,9 @@ func FuzzShellBucketBound(f *testing.F) {
 			sq += wj * wj
 		}
 		wnorm := math.Sqrt(sq)
-		for k := range ix.shellTabs {
-			tab := &ix.shellTabs[k]
+		c := ix.columns()
+		for k := range c.shells {
+			tab := &c.shells[k]
 			if len(tab.buckets) == 0 {
 				continue
 			}
@@ -397,7 +398,7 @@ func FuzzShellBucketBound(f *testing.F) {
 			for j, wj := range w {
 				wc += wj * tab.center[j]
 			}
-			sl := &ix.slabs[k]
+			sl := &c.slabs[k]
 			scores := make([]float64, len(sl.ids))
 			for bi := range tab.buckets {
 				b := &tab.buckets[bi]

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Columnar layer slabs. The query cost the paper measures (Table 1) is
 // dominated by scoring every vertex of each accessed layer, and the
@@ -22,10 +25,13 @@ import "math"
 // whole walk, not just skip one layer, once its pending candidates
 // beat the bound (see Searcher.tryPrune).
 //
-// Slabs are derived, immutable state: Build, FromLayers, and the
-// serving layer's post-mutation publish construct them; any maintenance
-// (alloc/unalloc) drops them, exactly like the sorted-column fast path.
-// Clones share them (nothing ever writes into a built slab).
+// Slabs are derived, immutable state and the only representation a
+// query reads. Build, FromLayers and FromColumnar construct them
+// eagerly; a structural mutation (alloc/unalloc) drops them and the
+// first query afterwards rebuilds them behind a once-latch (lazyCols),
+// the idiom posLazy/recLazy use, so concurrent first readers of a
+// freshly mutated index are race-free. Clones share them (nothing ever
+// writes into a built slab).
 type layerSlab struct {
 	data    []float64 // row-major layer vectors: count×dim, layer order
 	ids     []uint64  // external record IDs, parallel to rows
@@ -70,78 +76,91 @@ func newLayerSlab(data []float64, ids []uint64, pos []int, dim int) layerSlab {
 	return sl
 }
 
-// BuildSlabs materializes the columnar scoring layout: one contiguous
-// slab per layer plus per-layer score bounds. Idempotent; called by
-// Build and FromLayers automatically and by the serving layer after it
-// applies a mutation batch to a clone (mutations invalidate slabs the
-// same way they invalidate sorted columns). Queries fall back to the
-// record-walk over pts whenever slabs are absent, with identical
-// results.
-func (ix *Index) BuildSlabs() {
-	if ix.slabs == nil {
-		slabs := make([]layerSlab, len(ix.layers))
-		maxLayer := 0
-		for k, layer := range ix.layers {
-			if len(layer) > maxLayer {
-				maxLayer = len(layer)
-			}
-			data := make([]float64, len(layer)*ix.dim)
-			ids := make([]uint64, len(layer))
-			pos := make([]int, len(layer))
-			for i, p := range layer {
-				copy(data[i*ix.dim:(i+1)*ix.dim], ix.pts[p])
-				ids[i] = ix.ids[p]
-				pos[i] = p
-			}
-			slabs[k] = newLayerSlab(data, ids, pos, ix.dim)
+// colState is an index's complete columnar query layout: one slab per
+// layer, the size of the largest (which sizes a searcher's scratch
+// once), and in shell mode the per-layer bucket tables over the
+// bucket-ordered slab rows (shellslab.go). Immutable once built; a
+// change of mode or layering produces a new colState.
+type colState struct {
+	slabs    []layerSlab
+	maxLayer int
+	shells   []shellTable // nil unless shell mode is on
+}
+
+// newColState wraps built slabs, recording the largest layer.
+func newColState(slabs []layerSlab) *colState {
+	c := &colState{slabs: slabs}
+	for k := range slabs {
+		c.maxLayer = max(c.maxLayer, len(slabs[k].ids))
+	}
+	return c
+}
+
+// lazyCols defers the columnar layout of a structurally mutated index
+// until its first query. A pointer field on Index (never embedded by
+// value) so the whole-struct replacements the maintenance paths perform
+// (*ix = *next) don't copy a sync.Once.
+type lazyCols struct {
+	once sync.Once
+	c    *colState
+}
+
+// columns returns the index's columnar layout, building a deferred one
+// exactly once. Safe under concurrent readers of a shared snapshot: the
+// build only reads the layering, which no reader writes. Invariant:
+// ix.cols == nil ⟺ ix.colLazy != nil.
+func (ix *Index) columns() *colState {
+	if ix.cols != nil {
+		return ix.cols
+	}
+	lc := ix.colLazy
+	lc.once.Do(func() { lc.c = ix.buildColumns() })
+	return lc.c
+}
+
+// buildColumns copies every layer's vectors into a fresh slab and, in
+// shell mode, bucket-orders the slabs and derives their tables.
+func (ix *Index) buildColumns() *colState {
+	pts, _ := ix.recViews()
+	slabs := make([]layerSlab, len(ix.layers))
+	for k, layer := range ix.layers {
+		data := make([]float64, len(layer)*ix.dim)
+		ids := make([]uint64, len(layer))
+		pos := make([]int, len(layer))
+		for i, p := range layer {
+			copy(data[i*ix.dim:(i+1)*ix.dim], pts[p])
+			ids[i] = ix.ids[p]
+			pos[i] = p
 		}
-		ix.slabs = slabs
-		ix.maxLayer = maxLayer
+		slabs[k] = newLayerSlab(data, ids, pos, ix.dim)
 	}
-	// Shell index mode (shellslab.go): bucket-order the freshly built
-	// slabs and derive the per-bucket bound tables alongside them.
-	if ix.shellMode && ix.shellTabs == nil {
-		ix.buildShellTables()
+	c := newColState(slabs)
+	if ix.shellMode {
+		c = c.withShells(ix.dim)
 	}
+	return c
 }
 
-// DropSlabs discards the columnar layout (and with it bound-based layer
-// pruning and any shell tables), forcing queries back onto the legacy
-// record-walk. Exists so benchmarks and the CI equivalence gate can
-// compare the paths on one index; call BuildSlabs to restore.
-func (ix *Index) DropSlabs() {
-	// Deferred record views (columnar.go) are rebuilt FROM the slabs;
-	// materialize them while the slabs are still here or the fallback
-	// record-walk would have nothing to read.
-	ix.materializeRecs()
-	ix.slabs = nil
-	ix.shellTabs = nil
+// BuildSlabs materializes a deferred columnar layout now rather than on
+// the first query — the serving layer calls it before publishing a
+// structurally mutated snapshot, so no request pays for the rebuild.
+// Idempotent. Not safe to call concurrently with queries.
+func (ix *Index) BuildSlabs() {
+	ix.cols, ix.colLazy = ix.columns(), nil
 }
 
-// Columnar reports whether the columnar slabs are materialized.
-func (ix *Index) Columnar() bool { return ix.slabs != nil }
-
-// slab returns layer k's slab, or nil when slabs are absent.
-func (ix *Index) slab(k int) *layerSlab {
-	if ix.slabs == nil {
-		return nil
-	}
-	return &ix.slabs[k]
-}
-
-// invalidateSlabs drops derived columnar state (slabs and shell tables)
-// on mutation, along with the paging observer that described those
-// slabs' on-disk extents. Shared slabs are never written, so clones
-// holding the same backing arrays are unaffected.
+// invalidateSlabs defers the columnar layout (slabs and shell tables)
+// to the next query on mutation, and detaches the paging observer that
+// described the old slabs' on-disk extents. Shared slabs are never
+// written, so clones holding the same backing arrays are unaffected.
 func (ix *Index) invalidateSlabs() {
-	ix.slabs = nil
-	ix.shellTabs = nil
+	ix.cols, ix.colLazy = nil, &lazyCols{}
 	ix.slabSrc = nil
 }
 
 // boundSlack returns the safety margin added to a layer's score bound
 // so that floating-point rounding can never make pruning drop a record
-// the record-walk would have emitted. Both the record's computed score
+// the unpruned walk would have emitted. Both the record's computed score
 // and the computed bound err from their real values by at most a few
 // d·ε multiples of ‖w‖·maxNorm (Σ|w_j x_j| ≤ ‖w‖‖x‖ by Cauchy–Schwarz,
 // so even cancellation-heavy dot products stay within that envelope);
@@ -175,8 +194,8 @@ func (sl *layerSlab) scoreBound(w []float64, wnorm float64) float64 {
 // row-major slab. The loop is unrolled four rows wide — four
 // independent accumulators hide the multiply-add latency — while each
 // individual dot product still accumulates over j in index order
-// starting from zero, exactly like the legacy record-walk, so every
-// score is bit-identical to the one the [][]float64 path computes.
+// starting from zero, so every score is bit-identical to a plain
+// Σ_j w_j·x_j over the record's vector (the brute-force oracle's sum).
 func scoreSlabRange(dst, data, w []float64, lo, hi int) {
 	dim := len(w)
 	switch dim {
@@ -237,25 +256,6 @@ func scoreSlabRange(dst, data, w []float64, lo, hi int) {
 				s += wj * v[j]
 			}
 			dst[i] = s
-		}
-	}
-}
-
-// scoreSlabBatch fills dsts[q][i] = ws[q]·row_i for every query q and
-// row i in [lo, hi): one pass over the slab serves the whole batch, so
-// each vector is read from memory once instead of once per query. The
-// per-(query, row) arithmetic is the same ordered accumulation as
-// scoreSlabRange, so batched scores are bit-identical to solo ones.
-func scoreSlabBatch(dsts [][]float64, data []float64, ws [][]float64, lo, hi int) {
-	dim := len(ws[0])
-	for i := lo; i < hi; i++ {
-		v := data[i*dim : (i+1)*dim : (i+1)*dim]
-		for q, w := range ws {
-			var s float64
-			for j, wj := range w {
-				s += wj * v[j]
-			}
-			dsts[q][i] = s
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -41,9 +42,10 @@ func randWeights(rng *rand.Rand, d int) []float64 {
 
 // TestColumnarMatchesLegacyAndBrute is the tentpole property: for random
 // indexes and random (positive, negative, mixed) weight vectors, the
-// columnar slab path, the legacy record-walk, and the brute-force oracle
-// produce bit-identical top-N output — IDs, scores, order — at worker
-// counts 1 and 4, with bound pruning on and off.
+// slab walk produces bit-identical top-N output — IDs, scores, order —
+// at worker counts 1 and 4, with bound pruning on and off, against a
+// legacy reference — the sequential, unpruned walk of an identically
+// built twin — and the brute-force oracle.
 func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 	for _, tc := range []struct {
 		dist workload.Distribution
@@ -60,16 +62,16 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ix.Columnar() {
+		if ix.cols == nil {
 			t.Fatalf("%v %dD: Build did not materialize slabs", tc.dist, tc.d)
 		}
 
-		// Legacy reference on a slab-free twin of the same index.
-		legacy, err := Build(mkRecords(pts), Options{Seed: 3})
+		// Reference: a sequential, unpruned twin of the same index.
+		legacy, err := Build(mkRecords(pts), Options{Seed: 3, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.DropSlabs()
+		legacy.SetPruningMode(PruneNothing)
 
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		defer func(v int) { scoreParallelMin = v }(scoreParallelMin)
@@ -126,28 +128,30 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 }
 
 // TestTopNBatchMatchesSolo: a batch of queries must return, per query,
-// exactly what a solo TopN returns — bit-identical — at worker counts 1
-// and 4, including duplicate weight vectors within the batch (which
-// share slab passes) and single-axis vectors (which take the sorted fast
-// path when enabled).
+// exactly what a solo TopN returns — bit-identical results and equal
+// Stats — at worker counts 1 and 4, with shells off and on, including
+// duplicate weight vectors within the batch and single-axis vectors
+// (the paper's degenerate query, answered by the layer walk).
 func TestTopNBatchMatchesSolo(t *testing.T) {
 	pts := workload.Points(workload.Gaussian, 2000, 4, 99)
 	ix, err := Build(mkRecords(pts), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.EnableSortedColumns()
 	defer func(v int) { scoreParallelMin = v }(scoreParallelMin)
 	scoreParallelMin = 64
 
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 16; trial++ {
+		// Odd trials run in shell mode, where the per-query bucket
+		// schedule decides the work statistics.
+		ix.SetShellPruning(trial%2 == 1)
 		nq := 1 + rng.Intn(7)
 		n := 1 + rng.Intn(25)
 		batch := make([][]float64, nq)
 		for q := range batch {
 			switch rng.Intn(4) {
-			case 0: // single-axis → sorted-column fast path
+			case 0: // single-axis
 				w := make([]float64, 4)
 				w[rng.Intn(4)] = 1 + rng.Float64()
 				batch[q] = w
@@ -172,9 +176,9 @@ func TestTopNBatchMatchesSolo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("trial %d workers=%d query %d", trial, workers, q)
+				label := fmt.Sprintf("trial %d shells=%v workers=%d query %d", trial, ix.ShellPruning(), workers, q)
 				resultsBitIdentical(t, label, gotRes[q], wantRes)
-				if gotStats[q] != wantStats {
+				if !reflect.DeepEqual(gotStats[q], wantStats) {
 					t.Fatalf("%s: stats %+v, want %+v", label, gotStats[q], wantStats)
 				}
 			}
@@ -291,7 +295,7 @@ func TestScoreBoundIsSound(t *testing.T) {
 		}
 		wnorm := math.Sqrt(wsq)
 		for k := 0; k < ix.NumLayers(); k++ {
-			bound := ix.slab(k).scoreBound(w, wnorm)
+			bound := ix.columns().slabs[k].scoreBound(w, wnorm)
 			for kk := k; kk < ix.NumLayers(); kk++ {
 				for _, r := range ix.Layer(kk) {
 					var s float64
@@ -349,19 +353,20 @@ func TestWarmSearcherNextZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesSlabs: any maintenance drops the columnar
-// layout (queries fall back to the record-walk, results stay correct),
-// and BuildSlabs restores it with identical output.
+// TestMutationInvalidatesSlabs: any maintenance defers the columnar
+// layout to the next query, which rebuilds it behind the latch (results
+// stay correct), and BuildSlabs materializes it eagerly with identical
+// output.
 func TestMutationInvalidatesSlabs(t *testing.T) {
 	ix := buildRand(t, workload.Uniform, 600, 3, 31)
-	if !ix.Columnar() {
+	if ix.cols == nil {
 		t.Fatal("fresh build has no slabs")
 	}
 	w := []float64{0.3, 0.3, 0.4}
 	if err := ix.Insert(Record{ID: 100000, Vector: []float64{9, 9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Columnar() {
+	if ix.cols != nil || ix.colLazy == nil {
 		t.Fatal("slabs survived an insert")
 	}
 	afterRes, _, err := ix.TopN(w, 10)
@@ -372,19 +377,19 @@ func TestMutationInvalidatesSlabs(t *testing.T) {
 		t.Fatalf("dominating insert not ranked first: %+v", afterRes[0])
 	}
 	ix.BuildSlabs()
-	if !ix.Columnar() {
-		t.Fatal("BuildSlabs did not restore slabs")
+	if ix.cols == nil || ix.colLazy != nil {
+		t.Fatal("BuildSlabs did not materialize slabs")
 	}
 	rebuilt, _, err := ix.TopN(w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "rebuilt slabs vs record-walk", rebuilt, afterRes)
+	resultsBitIdentical(t, "prebuilt vs lazily built slabs", rebuilt, afterRes)
 
 	if err := ix.Delete(100000); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Columnar() {
+	if ix.cols != nil {
 		t.Fatal("slabs survived a delete")
 	}
 }
@@ -395,21 +400,20 @@ func TestMutationInvalidatesSlabs(t *testing.T) {
 func TestCloneSharesSlabs(t *testing.T) {
 	ix := buildRand(t, workload.Gaussian, 800, 3, 12)
 	cp := ix.Clone()
-	if !cp.Columnar() {
-		t.Fatal("clone lost the slabs")
+	if cp.cols != ix.cols {
+		t.Fatal("clone does not share the slabs")
 	}
 	if err := cp.Insert(Record{ID: 55555, Vector: []float64{5, 5, 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if cp.Columnar() {
+	if cp.cols != nil {
 		t.Fatal("clone slabs survived mutation")
 	}
-	if !ix.Columnar() {
+	if ix.cols == nil {
 		t.Fatal("mutating the clone dropped the parent's slabs")
 	}
 	w := []float64{1, 1, 1}
 	a, _, _ := ix.TopN(w, 5)
-	cp.BuildSlabs()
 	b, _, _ := cp.TopN(w, 6)
 	if b[0].ID != 55555 {
 		t.Fatalf("clone insert not visible on clone: %+v", b[0])
@@ -439,14 +443,14 @@ func TestFromLayersBuildsSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.Columnar() {
+	if re.cols == nil {
 		t.Fatal("FromLayers did not build slabs")
 	}
 	w := []float64{-0.2, 0.7, 0.4}
 	resultsBitIdentical(t, "fromlayers vs build", mustTopN(t, re, w, 15), mustTopN(t, ix, w, 15))
 
 	// The zero-copy claim: each layer's record vectors alias the slab.
-	sl := re.slab(0)
+	sl := &re.cols.slabs[0]
 	first := re.layers[0][0]
 	if &re.pts[first][0] != &sl.data[0] {
 		t.Error("layer 0 vectors are not views into the slab arena")

@@ -11,9 +11,7 @@ package core
 // Clone returns an independent copy of the index. Maintenance on the
 // clone (Insert, Delete, cascades) never alters the original, so a
 // query running against the original concurrently with maintenance on
-// the clone is safe. The optional sorted-column fast path is not
-// carried over — maintenance would invalidate it anyway; call
-// EnableSortedColumns on the clone if needed.
+// the clone is safe.
 func (ix *Index) Clone() *Index {
 	// A deep clone owns eager record views; forcing the receiver's
 	// deferred ones (columnar.go) is safe — the lazy build never
@@ -30,17 +28,16 @@ func (ix *Index) Clone() *Index {
 		seed:    ix.seed,
 		workers: ix.workers,
 		joggled: ix.joggled,
-		// Slabs are immutable once built, so the clone shares them by
-		// reference; the first maintenance call on either side drops only
-		// that side's pointer (invalidateSlabs), leaving the other intact.
-		slabs:    ix.slabs,
-		maxLayer: ix.maxLayer,
-		noPrune:  ix.noPrune,
-		noShells: ix.noShells,
-		// Shell tables are derived immutable state exactly like the
-		// slabs, and they share the slabs' lifecycle.
+		// The columnar layout (slabs and shell tables) is immutable once
+		// built, so the clone shares it by reference — or shares the
+		// pending latch, which builds the same layout from either side's
+		// identical layering; the first maintenance call on either side
+		// replaces only that side's pointers (invalidateSlabs).
+		cols:      ix.cols,
+		colLazy:   ix.colLazy,
+		noPrune:   ix.noPrune,
+		noShells:  ix.noShells,
 		shellMode: ix.shellMode,
-		shellTabs: ix.shellTabs,
 		// The paging observer describes the shared slab backing, so the
 		// clone keeps it until a mutation detaches both together.
 		slabSrc: ix.slabSrc,

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -116,11 +118,39 @@ func TestTopNBatchErrorBodies(t *testing.T) {
 	}
 }
 
+// TestTopNBatchHonoursQueryDeadline: a batch whose query deadline has
+// passed gets the solo handler's answer — 503, counted in
+// queries_timeout — instead of evaluating regardless, with and without
+// the result cache.
+func TestTopNBatchHonoursQueryDeadline(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		s, _ := newTestServer(t, 400, 3, Config{CacheBytes: cacheBytes})
+		body, _ := json.Marshal(TopNBatchRequest{Weights: [][]float64{{1, 0.5, 0.25}, {-1, 2, 0}}, N: 5})
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		req := httptest.NewRequest(http.MethodPost, "/v1/topn/batch", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("cache=%d: status %d (%s), want 503", cacheBytes, rec.Code, rec.Body)
+		}
+		var eb ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "deadline") {
+			t.Fatalf("cache=%d: error body %q (%v)", cacheBytes, rec.Body, err)
+		}
+		if got := s.metrics.queriesTimeout.Value(); got != 1 {
+			t.Fatalf("cache=%d: queries_timeout = %d, want 1", cacheBytes, got)
+		}
+		if got := s.metrics.batchRequests.Value(); got != 0 {
+			t.Fatalf("cache=%d: batch_requests = %d for a stopped batch", cacheBytes, got)
+		}
+	}
+}
+
 // TestBatchQueriesDuringSnapshotSwaps is the -race stress of the batch
 // read path: query goroutines continuously run TopNBatch against
 // whatever snapshot is current while the mutator applies insert/delete
-// batches and swaps new snapshots in (each publish rebuilds the
-// columnar slabs). Every batch must be internally consistent with the
+// batches and swaps new snapshots in. Every batch must be internally consistent with the
 // snapshot it ran against — bit-identical to that snapshot's solo TopN.
 func TestBatchQueriesDuringSnapshotSwaps(t *testing.T) {
 	s, _ := newTestServer(t, 600, 3, Config{})
@@ -207,7 +237,4 @@ func TestBatchQueriesDuringSnapshotSwaps(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if !s.Snapshot().Columnar() {
-		t.Error("published snapshot lost its columnar slabs")
-	}
 }

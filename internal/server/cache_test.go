@@ -200,7 +200,8 @@ func TestNoStaleAfterAckedMutation(t *testing.T) {
 }
 
 // TestBatchThroughCacheDedupAndHits: duplicate weight vectors inside a
-// batch are computed once and answered identically; a repeat of the
+// batch are computed once — the second is a cache hit on the entry the
+// first installed — and answered identically; a repeat of the
 // whole batch is served entirely from the cache, still bit-identical to
 // solo recomputation.
 func TestBatchThroughCacheDedupAndHits(t *testing.T) {
@@ -225,13 +226,13 @@ func TestBatchThroughCacheDedupAndHits(t *testing.T) {
 	}
 	first := run()
 	ct := s.cache.Counters()
-	if ct.Misses != 4 || ct.Hits != 0 {
-		t.Fatalf("first batch: counters %+v, want 4 misses 0 hits", ct)
+	if ct.Misses != 3 || ct.Hits != 1 {
+		t.Fatalf("first batch: counters %+v, want 3 misses and 1 hit (the duplicate)", ct)
 	}
 	second := run()
 	ct = s.cache.Counters()
-	if ct.Hits != 4 {
-		t.Fatalf("repeat batch: counters %+v, want 4 hits", ct)
+	if ct.Hits != 1+4 || ct.Misses != 3 {
+		t.Fatalf("repeat batch: counters %+v, want 4 more hits and no new miss", ct)
 	}
 	for q, w := range batch {
 		want, _, err := s.Snapshot().TopN(w, 10)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Wire types. The JSON surface is deliberately small and stable:
@@ -110,7 +111,7 @@ type TopNResponse struct {
 }
 
 // TopNBatchRequest is the body of POST /v1/topn/batch: one n shared by
-// every query, matching the fused evaluation underneath.
+// every query.
 type TopNBatchRequest struct {
 	Weights [][]float64 `json:"weights"`
 	N       int         `json:"n"`
@@ -260,48 +261,54 @@ func (s *Server) handleTopN(w http.ResponseWriter, r *http.Request) {
 	epoch := s.cache.Epoch()
 	snap := s.Snapshot()
 	n := s.clampLimit(req.N)
-	var (
-		results []core.Result
-		st      core.Stats
-		outcome = cache.Miss
-		err     error
-	)
-	if s.cache != nil {
-		results, st, outcome, err = s.cache.GetOrCompute(core.WeightKey(req.Weights), n, epoch,
-			func() ([]core.Result, core.Stats, error) {
-				return computeTopN(ctx, snap, req.Weights, n)
-			})
-	} else {
-		results, st, err = computeTopN(ctx, snap, req.Weights, n)
-	}
+	resp, obsSt, err := s.cachedTopN(ctx, snap, epoch, req.Weights, n)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.observeQuery(st, time.Since(start), s.metrics.topnLatency)
-			s.metrics.queriesTimeout.Add(1)
-			writeErr(w, http.StatusServiceUnavailable, "query stopped: %v", err)
-		} else {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-		}
+		s.writeQueryErr(w, err, obsSt, start, s.metrics.topnLatency)
 		return
 	}
-	// Work counters report evaluation this request actually performed: a
-	// hit (or a ride on another request's computation) evaluated nothing.
-	// The response stats, by contrast, describe the computation that
-	// produced the results — for a prefix-served hit, the original
-	// (possibly deeper) walk.
+	s.metrics.observeQuery(obsSt, time.Since(start), s.metrics.topnLatency)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// cachedTopN answers one unfiltered query through the result cache (a
+// nil cache computes directly) — the one leg /v1/topn and every member
+// of /v1/topn/batch share. It returns the response body and the work
+// this request actually performed, for the cumulative counters: a hit
+// (or a ride on another request's computation) evaluated nothing. The
+// response stats, by contrast, describe the computation that produced
+// the results — for a prefix-served hit, the original (possibly
+// deeper) walk. On a context error the work is what the stopped walk
+// had spent.
+func (s *Server) cachedTopN(ctx context.Context, snap *core.Index, epoch uint64, weights []float64, n int) (TopNResponse, core.Stats, error) {
+	results, st, outcome, err := s.cache.GetOrCompute(core.WeightKey(weights), n, epoch,
+		func() ([]core.Result, core.Stats, error) {
+			return computeTopN(ctx, snap, weights, n)
+		})
+	if err != nil {
+		return TopNResponse{}, st, err
+	}
 	obsSt := st
 	if outcome != cache.Miss {
 		obsSt = core.Stats{}
 	}
-	s.metrics.observeQuery(obsSt, time.Since(start), s.metrics.topnLatency)
 	rs := make([]ResultJSON, len(results))
 	for i, res := range results {
 		rs[i] = ResultJSON{ID: res.ID, Score: res.Score, Layer: res.Layer}
 	}
-	writeJSON(w, http.StatusOK, TopNResponse{
-		Results: rs,
-		Stats:   statsJSON(st),
-	})
+	return TopNResponse{Results: rs, Stats: statsJSON(st)}, obsSt, nil
+}
+
+// writeQueryErr answers a failed cachedTopN: a stopped walk (deadline
+// or dropped client) is a 503 counted in queries_timeout, with its
+// wasted work still observed; anything else is a 400.
+func (s *Server) writeQueryErr(w http.ResponseWriter, err error, st core.Stats, start time.Time, lat *telemetry.Histogram) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		s.metrics.observeQuery(st, time.Since(start), lat)
+		s.metrics.queriesTimeout.Add(1)
+		writeErr(w, http.StatusServiceUnavailable, "query stopped: %v", err)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "%v", err)
 }
 
 // computeTopN is the uncached /v1/topn evaluation, shared verbatim by
@@ -421,13 +428,15 @@ func inRanges(v []float64, ranges []RangeJSON) bool {
 	return true
 }
 
-// handleTopNBatch answers B queries in one request through the fused
-// batch evaluator: every accessed layer's columnar slab is streamed
-// once for the whole batch. Per-query output is bit-identical to solo
-// /v1/topn calls. One invalid weight vector fails the entire request
-// (all-or-nothing, like a single query); the batch occupies a single
-// admission slot — it is one request's worth of work from the
-// scheduler's point of view, amortized though it is.
+// handleTopNBatch answers B queries in one request, each through the
+// same cached leg as /v1/topn (cachedTopN) against one snapshot, so
+// per-query output is bit-identical to solo /v1/topn calls and a
+// repeated weight vector — within the batch or across requests — is a
+// cache hit. One invalid weight vector fails the entire request
+// (all-or-nothing, like a single query), and so does the query
+// deadline: a batch stopped by it is a 503 counted in queries_timeout,
+// like a solo query. The batch occupies a single admission slot — it
+// is one request's worth of work from the scheduler's point of view.
 func (s *Server) handleTopNBatch(w http.ResponseWriter, r *http.Request) {
 	var req TopNBatchRequest
 	if !decode(w, r, &req) {
@@ -449,9 +458,9 @@ func (s *Server) handleTopNBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Reject malformed weight vectors (wrong dimension, NaN/Inf
 	// components) before spending an admission slot, mirroring /v1/topn.
-	// TopNBatch re-validates every vector against the snapshot actually
-	// queried before any scoring (all-or-nothing), so this is a cheap
-	// early 400 with a per-query position, not the authoritative gate.
+	// computeTopN re-validates each vector against the snapshot actually
+	// queried, so this is a cheap early 400 with a per-query position;
+	// it also makes the batch all-or-nothing before any evaluation.
 	dim := s.Snapshot().Dim()
 	for q, wts := range req.Weights {
 		if err := core.ValidateWeights(wts, dim); err != nil {
@@ -465,106 +474,28 @@ func (s *Server) handleTopNBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
+
 	start := time.Now()
 	// Same epoch-before-snapshot order as the solo handler.
 	epoch := s.cache.Epoch()
 	snap := s.Snapshot()
 	n := s.clampLimit(req.N)
-
-	var (
-		results [][]core.Result
-		stats   []core.Stats
-		// computedWork[q] is true when this request actually evaluated
-		// query q (the first occurrence of a missed key): only those
-		// queries fold real numbers into the cumulative work counters.
-		computedWork []bool
-	)
-	if s.cache != nil {
-		var err error
-		results, stats, computedWork, err = s.batchThroughCache(snap, req.Weights, n, epoch)
+	resp := TopNBatchResponse{Queries: make([]TopNResponse, len(req.Weights))}
+	for q, wts := range req.Weights {
+		qr, obsSt, err := s.cachedTopN(ctx, snap, epoch, wts, n)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
+			s.writeQueryErr(w, fmt.Errorf("batch query %d: %w", q, err), obsSt, start, s.metrics.batchLatency)
 			return
 		}
-	} else {
-		var err error
-		results, stats, err = snap.TopNBatch(req.Weights, n)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+		s.metrics.observeQuery(obsSt, 0, nil)
+		resp.Queries[q] = qr
 	}
 	s.metrics.batchRequests.Add(1)
 	s.metrics.batchQueries.Add(int64(len(req.Weights)))
-	resp := TopNBatchResponse{Queries: make([]TopNResponse, len(results))}
-	for q, res := range results {
-		rs := make([]ResultJSON, len(res))
-		for i, rr := range res {
-			rs[i] = ResultJSON{ID: rr.ID, Score: rr.Score, Layer: rr.Layer}
-		}
-		resp.Queries[q] = TopNResponse{Results: rs, Stats: statsJSON(stats[q])}
-		obsSt := stats[q]
-		if computedWork != nil && !computedWork[q] {
-			obsSt = core.Stats{} // served from cache (or a duplicate): no new work
-		}
-		s.metrics.observeQuery(obsSt, 0, nil)
-	}
 	s.metrics.batchLatency.Observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchThroughCache answers a batch with cache consultation: hits are
-// served from their entries, distinct missed keys are evaluated in ONE
-// fused TopNBatch pass (keeping the batch path's whole-batch slab
-// amortization for the part that needs computing), and each computed
-// ranking is installed for the next request. Duplicate weight vectors
-// within the batch are evaluated once and share the result — the walk
-// is deterministic, so the copies are bit-identical by construction.
-// Batch members do not join cross-request singleflight flights (that
-// would serialize the fused pass behind solo queries); coalescing
-// within the request is the dedup itself.
-func (s *Server) batchThroughCache(snap *core.Index, weights [][]float64, n int, epoch uint64) ([][]core.Result, []core.Stats, []bool, error) {
-	nq := len(weights)
-	results := make([][]core.Result, nq)
-	stats := make([]core.Stats, nq)
-	computedWork := make([]bool, nq)
-	served := make([]bool, nq)
-	keys := make([]string, nq)
-	missPos := make(map[string]int) // key -> index into missW
-	var missW [][]float64
-	for q, wts := range weights {
-		keys[q] = core.WeightKey(wts)
-		if res, st, ok := s.cache.Get(keys[q], n, epoch); ok {
-			results[q], stats[q], served[q] = res, st, true
-			continue
-		}
-		if _, dup := missPos[keys[q]]; !dup {
-			missPos[keys[q]] = len(missW)
-			missW = append(missW, wts)
-		}
-	}
-	if len(missW) > 0 {
-		computed, computedStats, err := snap.TopNBatch(missW, n)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		counted := make([]bool, len(missW))
-		for q := range weights {
-			if served[q] {
-				continue
-			}
-			mi := missPos[keys[q]]
-			results[q], stats[q] = computed[mi], computedStats[mi]
-			if !counted[mi] {
-				counted[mi] = true
-				computedWork[q] = true
-			}
-		}
-		for key, mi := range missPos {
-			s.cache.Put(key, epoch, n, computed[mi], computedStats[mi])
-		}
-	}
-	return results, stats, computedWork, nil
 }
 
 // handleSearch streams progressive retrieval as NDJSON: one ResultJSON

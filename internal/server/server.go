@@ -429,8 +429,8 @@ func (s *Server) apply(batch []op) {
 		}
 	}
 	// Legacy mode invalidated the clone's columnar slabs; rebuild them
-	// off the query path so every published snapshot serves through the
-	// cache-friendly layout. Delta mode shares the base's slabs — they
+	// before publishing so no request pays for the rebuild its first
+	// query would otherwise trigger. Delta mode shares the base's slabs — they
 	// still describe the (untouched) base layers — so there is nothing
 	// to rebuild: that O(n) pass is exactly what the delta path removes
 	// from publish latency.

@@ -379,9 +379,8 @@ type BatchResult struct {
 	Failed []int
 }
 
-// TopNBatch fans a whole batch out to every shard group — each shard
-// runs its fused multi-query pass over its own slabs — and merges per
-// query position. Failure semantics match TopN; a failed group is
+// TopNBatch fans a whole batch out to every shard group — one request
+// per group carrying every query — and merges per query position. Failure semantics match TopN; a failed group is
 // missing from every query of the batch.
 func (c *Coordinator) TopNBatch(ctx context.Context, weights [][]float64, n int) (*BatchResult, error) {
 	if n <= 0 {

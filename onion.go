@@ -39,7 +39,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hierarchy"
-	"repro/internal/shells"
 	"repro/internal/storage"
 )
 
@@ -111,9 +110,6 @@ type Options struct {
 // (Insert/Delete/Update) is not and invalidates concurrent queries.
 type Index struct {
 	ix *core.Index
-	// shellIx, when non-nil, accelerates whole-layer evaluation with
-	// the paper's spherical-shell structure; maintenance invalidates it.
-	shellIx *shells.Index
 	// cache, when non-nil, memoizes TopN results keyed by exact weight
 	// bits (EnableResultCache); maintenance bumps its epoch so stale
 	// entries are never served.
@@ -164,9 +160,6 @@ func (x *Index) TopN(weights []float64, n int) ([]Result, error) {
 // tie-break-stable — and the reported stats describe the walk that
 // originally produced the entry.
 func (x *Index) TopNStats(weights []float64, n int) ([]Result, QueryStats, error) {
-	if x.shellIx != nil {
-		return x.shellIx.TopN(weights, n)
-	}
 	if x.cache != nil && n > 0 {
 		res, st, _, err := x.cache.GetOrCompute(core.WeightKey(weights), n, x.cache.Epoch(),
 			func() ([]Result, QueryStats, error) { return x.ix.TopN(weights, n) })
@@ -188,8 +181,8 @@ func (x *Index) TopNStats(weights []float64, n int) ([]Result, QueryStats, error
 // (a cached top-K answers any n ≤ K) and epoch invalidation on every
 // maintenance operation — a cached result can never survive a mutation.
 // maxBytes <= 0 disables the cache. The cache sits behind TopN /
-// TopNStats / Minimize; Search streams, TopNBatch, filtered queries and
-// shell-accelerated evaluation (Accelerate) bypass it. Not safe to call
+// TopNStats / Minimize, in every pruning and shell mode; Search
+// streams, TopNBatch and filtered queries bypass it. Not safe to call
 // concurrently with queries.
 func (x *Index) EnableResultCache(maxBytes int64) {
 	x.cache = cache.New(maxBytes, 0)
@@ -219,21 +212,11 @@ func (x *Index) CacheStats() CacheStats {
 	}
 }
 
-// invalidate drops every query acceleration structure that a mutation
-// may have made stale: the spherical-shell index is rebuilt only by an
-// explicit Accelerate, and the result cache's epoch bump retires all
-// cached rankings at once (entries are collected lazily).
-func (x *Index) invalidate() {
-	x.shellIx = nil
-	x.cache.Invalidate()
-}
-
-// TopNBatch answers many top-N queries in one fused pass over the
-// index: each layer's columnar slab is streamed through the cache once
-// for the whole batch instead of once per query, which is the cheap way
-// to serve concurrent query load. Results and stats are positional and
-// bit-identical to what per-query TopN calls would return. One invalid
-// weight vector fails the entire batch before any evaluation.
+// TopNBatch answers many top-N queries at once. Each query runs the
+// same walk a solo query runs, so results and stats are positional and
+// identical to per-query TopNStats calls on an uncached index; the
+// batch bypasses the result cache. One invalid weight vector fails the
+// entire batch before any evaluation.
 func (x *Index) TopNBatch(weightsList [][]float64, n int) ([][]Result, []QueryStats, error) {
 	return x.ix.TopNBatch(weightsList, n)
 }
@@ -297,10 +280,10 @@ func (x *Index) SearchContext(ctx context.Context, weights []float64, limit int)
 // the clone never affects the original (attribute vectors, which are
 // immutable, are shared). This is the substrate for snapshot-isolated
 // serving — apply a batch of changes to a clone, then atomically swap
-// it in — as cmd/onionserve does. The columnar shell-pruning mode
-// (Options.Shells / SetShellPruning) carries over; the legacy
-// Accelerate structure and sorted-column structures do not — re-enable
-// them on the clone if needed.
+// it in — as cmd/onionserve does. The pruning and shell modes
+// (SetPruningMode, Options.Shells / SetShellPruning) carry over; the
+// result cache does not — call EnableResultCache on the clone if
+// needed.
 func (x *Index) Clone() *Index {
 	return &Index{ix: x.ix.Clone()}
 }
@@ -314,22 +297,23 @@ func (x *Index) Clone() *Index {
 func (x *Index) SetParallelism(n int) { x.ix.SetParallelism(n) }
 
 // Insert adds a record, cascading layer repairs inwards (paper Section
-// 3.4). It invalidates any shell acceleration.
+// 3.4). It retires every cached result; the columnar layout, shell
+// tables included, is rebuilt by the next query.
 func (x *Index) Insert(rec Record) error {
-	x.invalidate()
+	x.cache.Invalidate()
 	return x.ix.Insert(rec)
 }
 
 // InsertBatch adds several records with a single cascade.
 func (x *Index) InsertBatch(recs []Record) error {
-	x.invalidate()
+	x.cache.Invalidate()
 	return x.ix.InsertBatch(recs)
 }
 
 // Delete removes the record with the given ID, promoting inner records
 // outwards as needed.
 func (x *Index) Delete(id uint64) error {
-	x.invalidate()
+	x.cache.Invalidate()
 	return x.ix.Delete(id)
 }
 
@@ -337,27 +321,15 @@ func (x *Index) Delete(id uint64) error {
 // batch maintenance the paper recommends for bulk changes. Unknown or
 // duplicated IDs fail the whole batch before any mutation.
 func (x *Index) DeleteBatch(ids []uint64) error {
-	x.invalidate()
+	x.cache.Invalidate()
 	return x.ix.DeleteBatch(ids)
 }
 
 // Update replaces a record's attribute vector (delete + insert).
 func (x *Index) Update(id uint64, vector []float64) error {
-	x.invalidate()
+	x.cache.Invalidate()
 	return x.ix.Update(id, vector)
 }
-
-// Accelerate builds the paper's spherical-shell auxiliary structure
-// (Section 6, Figure 11) over every layer; subsequent TopN calls
-// evaluate only the angular buckets that can matter, roughly halving
-// evaluated records on uniform data. Maintenance drops the structure;
-// call Accelerate again afterwards.
-func (x *Index) Accelerate() {
-	x.shellIx = shells.New(x.ix)
-}
-
-// Accelerated reports whether shell acceleration is active.
-func (x *Index) Accelerated() bool { return x.shellIx != nil }
 
 // PruningMode selects how much bound-based work-skipping the query path
 // performs. Every mode returns bit-identical results; the modes differ
@@ -392,8 +364,10 @@ func (x *Index) PruningMode() PruningMode { return x.ix.PruningMode() }
 // SetShellPruning enables or disables the spherical-shell index mode
 // (Options.Shells, after the fact): on bucket-orders each layer's
 // columnar slab around its centroid and builds the per-bucket bound
-// tables; off drops them. Results are bit-identical either way. Not
-// safe to call concurrently with queries.
+// tables; off drops them. Results are bit-identical either way. The
+// mode survives Clone and maintenance, and TopN in it is served
+// through the result cache like any other query. Not safe to call
+// concurrently with queries.
 func (x *Index) SetShellPruning(on bool) { x.ix.SetShellPruning(on) }
 
 // ShellPruning reports whether the spherical-shell index mode is

@@ -3,6 +3,7 @@ package onion
 import (
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -130,7 +131,11 @@ func TestStreamProgressive(t *testing.T) {
 	}
 }
 
-func TestAccelerateMatchesPlain(t *testing.T) {
+// TestShellPruningMatchesPlain: the facade's one shell mode returns
+// the plain walk's answers bit for bit while evaluating fewer records,
+// and the mode survives maintenance and Clone and is served through the
+// result cache.
+func TestShellPruningMatchesPlain(t *testing.T) {
 	recs, pts := testRecords(workload.Uniform, 3000, 3, 4)
 	ix, err := Build(recs, Options{})
 	if err != nil {
@@ -141,37 +146,63 @@ func TestAccelerateMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Accelerate()
-	if !ix.Accelerated() {
-		t.Fatal("Accelerated() false after Accelerate")
+	ix.SetShellPruning(true)
+	if !ix.ShellPruning() {
+		t.Fatal("ShellPruning() false after SetShellPruning(true)")
 	}
 	fast, fastStats, err := ix.TopNStats(w, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(fast, plain) {
+		t.Fatal("shell mode diverges from the plain walk")
+	}
 	want := oracle(pts, w, 20)
 	for i := range fast {
 		if diff := fast[i].Score - want[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("rank %d: accel %v want %v", i, fast[i].Score, want[i])
+			t.Fatalf("rank %d: shells %v want %v", i, fast[i].Score, want[i])
 		}
-		_ = plain
 	}
 	if fastStats.RecordsEvaluated >= plainStats.RecordsEvaluated {
-		t.Errorf("acceleration evaluated %d records, plain %d", fastStats.RecordsEvaluated, plainStats.RecordsEvaluated)
+		t.Errorf("shells evaluated %d records, plain %d", fastStats.RecordsEvaluated, plainStats.RecordsEvaluated)
 	}
-	// Maintenance invalidates acceleration.
+
+	// The mode survives Clone.
+	cp := ix.Clone()
+	if !cp.ShellPruning() {
+		t.Error("shell mode lost by Clone")
+	}
+	if res, st, err := cp.TopNStats(w, 20); err != nil || !reflect.DeepEqual(res, plain) || st != fastStats {
+		t.Errorf("clone answers differently: %v, stats %+v vs %+v", err, st, fastStats)
+	}
+
+	// Shell-mode queries go through the result cache.
+	ix.EnableResultCache(1 << 20)
+	for i := 0; i < 2; i++ {
+		if res, _, err := ix.TopNStats(w, 20); err != nil || !reflect.DeepEqual(res, plain) {
+			t.Fatalf("cached shell query %d diverges: %v", i, err)
+		}
+	}
+	if cs := ix.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Errorf("cache counters %+v, want 1 miss then 1 hit", cs)
+	}
+
+	// Maintenance keeps the mode and retires cached answers.
 	if err := ix.Insert(Record{ID: 999999, Vector: []float64{9, 9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Accelerated() {
-		t.Error("acceleration survived maintenance")
+	if !ix.ShellPruning() {
+		t.Error("shell mode lost by maintenance")
 	}
-	got, err := ix.TopN(w, 1)
+	got, st, err := ix.TopNStats(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].ID != 999999 {
 		t.Errorf("new extreme record not found: %+v", got[0])
+	}
+	if st.ShellLayers == 0 {
+		t.Errorf("post-insert query did not use the rebuilt shell tables: %+v", st)
 	}
 }
 

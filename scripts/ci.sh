@@ -86,21 +86,20 @@ shard_out="$(mktemp)"
 trap 'rm -f "$smoke_out" "$query_out" "$cache_out" "$shard_out"' EXIT
 go run ./cmd/onionbench -build-scaling -n 8000 -build-workers 1,4 -build-out "$smoke_out"
 
-# Query-path equivalence smoke: a small -query-scaling sweep
-# cross-checks every scoring path — legacy record walk, columnar slabs
-# (pruned and unpruned), and the fused batch driver — for bit-identical
-# top-N output (IDs, score bits, order) at worker counts 1 and 4, and
-# checks the reference itself against a brute-force scan. Any
-# divergence exits non-zero. The committed BENCH_query.json is the
-# full-size (100k-point) run of the same gate.
+# Query-path equivalence smoke: a small -query-scaling sweep checks
+# every pruning mode of the one slab walk — unpruned, layer-pruned and
+# shells — solo and through TopNBatch, against a brute-force scan for
+# every query (score bits, order) and against each other bitwise (IDs,
+# score bits, layers) at worker counts 1 and 4. Any divergence exits
+# non-zero. The committed BENCH_query.json is the full-size
+# (100k-point) run of the same gate.
 echo "== query path equivalence smoke (onionbench -query-scaling)"
 go run ./cmd/onionbench -query-scaling -n 3000 -queries 32 -query-workers 1,4 -query-out "$query_out"
 
 # Shell-pruning smoke at a corpus size where the angular buckets do
-# real skipping: the same bit-equivalence gate (shells solo + batched
-# against legacy, with and without an active delta buffer, plus the
-# brute-force oracle) over a 10k corpus at top-10 only, so it stays
-# seconds. The committed BENCH_query.json is the 100k run whose
+# real skipping: the same brute-force gate (shells on and off, solo and
+# batched, with and without an active delta buffer) over a 10k corpus
+# at top-10 only, so it stays seconds. The committed BENCH_query.json is the 100k run whose
 # headline records the shells records-evaluated cut.
 echo "== shell pruning equivalence smoke (onionbench -query-scaling, 10k)"
 shells_out="$(mktemp)"

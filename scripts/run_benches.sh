@@ -2,13 +2,13 @@
 # Query-path benchmark sweep across GOMAXPROCS settings.
 #
 # The committed BENCH_query.json is a single-host snapshot at the
-# host's default GOMAXPROCS; this script measures how the scoring paths
-# (legacy / columnar / columnar+prune / shells / fused batch) behave as
-# the scheduler is given 1, 2, ... P cores, and merges every
-# per-setting summary into ONE JSON document (scripts/mergebench), so a
-# whole sweep ships as a single artifact. Every individual run still
-# gates on the cross-mode bit-equivalence oracle before timing — a
-# sweep that measures a wrong answer exits non-zero instead.
+# host's default GOMAXPROCS; this script measures how the pruning modes
+# of the query walk (columnar / columnar+prune / shells) behave as the
+# scheduler is given 1, 2, ... P cores, and merges every per-setting
+# summary into ONE JSON document (scripts/mergebench), so a whole sweep
+# ships as a single artifact. Every individual run still gates on the
+# brute-force bit-equivalence oracle before timing — a sweep that
+# measures a wrong answer exits non-zero instead.
 #
 # Usage: scripts/run_benches.sh [-n N] [-queries Q] [-procs 1,2,4]
 #                               [-workers 1,4] [-topns 10,100]
