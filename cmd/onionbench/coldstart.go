@@ -10,11 +10,11 @@ package main
 //     three, and with brute force. Nothing is reported unless this
 //     passes: a fast cold start that serves different answers is a
 //     bug, not a result.
-//  2. Restart race: the same corpus is bootstrapped into two WAL
-//     directories, one with v1 checkpoints, one with v2, both cleanly
-//     checkpointed (empty log — replay would measure the WAL, not the
-//     format). Restart-to-first-query is timed for the v1 full decode
-//     and for the mmap open; the speedup is the headline number.
+//  2. Restart race: the same corpus is bootstrapped into one WAL
+//     directory with a clean v2 checkpoint (empty log — replay would
+//     measure the WAL, not the format). Restart-to-first-query is timed
+//     for a heap decode of that checkpoint and for the mmap open; the
+//     speedup is the headline number.
 //  3. Beyond-budget serving: the mapped checkpoint is reopened with a
 //     resident budget a fraction of the file size and serves a
 //     sustained random query load. QPS, evictions, estimated faults
@@ -58,7 +58,7 @@ type coldstartReport struct {
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 
 	// Restart-to-first-query, min over repetitions.
-	RestartDecodeMS float64 `json:"restart_decode_ms"` // v1 checkpoint, full decode
+	RestartDecodeMS float64 `json:"restart_decode_ms"` // v2 checkpoint, heap decode
 	RestartMmapMS   float64 `json:"restart_mmap_ms"`   // v2 checkpoint, mmap
 	RestartSpeedup  float64 `json:"restart_speedup"`
 
@@ -131,15 +131,13 @@ func coldstart(n, queries int, outPath string) {
 	fmt.Printf("built %dD corpus n=%d layers=%d in %v\n", rep.Dim, n, ix.NumLayers(), time.Since(start).Round(time.Millisecond))
 
 	opt := core.Options{Seed: *seedFlag, Parallelism: *parFlag, Shells: true}
-	dirV1 := filepath.Join(tmp, "v1")
-	dirV2 := filepath.Join(tmp, "v2")
-	bootstrapDir(dirV1, ix, wal.Config{Options: opt, CheckpointV1: true})
-	bootstrapDir(dirV2, ix, wal.Config{Options: opt})
+	dir := filepath.Join(tmp, "data")
+	bootstrapDir(dir, ix, wal.Config{Options: opt})
 
 	qw := workload.QueryWeights(1, rep.Dim, *seedFlag+31)[0]
 	const reps = 3
-	decodeNS := measureRestart(dirV1, wal.Config{Options: opt}, qw, reps)
-	mmapNS := measureRestart(dirV2, wal.Config{Options: opt, Mmap: true}, qw, reps)
+	decodeNS := measureRestart(dir, wal.Config{Options: opt}, qw, reps)
+	mmapNS := measureRestart(dir, wal.Config{Options: opt, Mmap: true}, qw, reps)
 	rep.RestartDecodeMS = float64(decodeNS) / 1e6
 	rep.RestartMmapMS = float64(mmapNS) / 1e6
 	rep.RestartSpeedup = float64(decodeNS) / float64(mmapNS)
@@ -147,7 +145,7 @@ func coldstart(n, queries int, outPath string) {
 		rep.RestartDecodeMS, rep.RestartMmapMS, rep.RestartSpeedup)
 
 	// ---- phase 3: beyond-budget serving ---------------------------
-	cpPath := findCheckpoint(dirV2)
+	cpPath := findCheckpoint(dir)
 	info, err := os.Stat(cpPath)
 	if err != nil {
 		fatal(err)

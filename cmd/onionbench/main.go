@@ -66,7 +66,7 @@ var (
 	mixedReaders  = flag.Int("mixed-readers", 4, "mixed-workload: concurrent reader goroutines")
 	mixedRateFlag = flag.Int("mixed-rate", 200, "mixed-workload: target mutations per second (0 = unthrottled)")
 	mixedDurFlag  = flag.Duration("mixed-dur", 20*time.Second, "mixed-workload: measurement duration")
-	mixedDTFlag   = flag.Int("mixed-delta-threshold", 0, "mixed-workload: server delta compaction threshold (0 = server default, negative = legacy synchronous cascade)")
+	mixedDTFlag   = flag.Int("mixed-delta-threshold", 0, "mixed-workload: server delta compaction threshold (0 = server default)")
 	mixedOutFlag  = flag.String("mixed-out", "BENCH_write.json", "mixed-workload: summary JSON output path")
 
 	compactionFlag   = flag.Bool("compaction-scaling", false, "sweep background-fold cost (flat full re-peel vs hierarchical per-cluster fold) across corpus and delta sizes instead of running experiments; gates every publish on a brute-force + flat-twin bit-equivalence oracle, emits -compaction-out JSON")
@@ -76,7 +76,7 @@ var (
 	compRoundsFlag   = flag.Int("compaction-rounds", 2, "compaction-scaling: folds measured per configuration")
 	compOutFlag      = flag.String("compaction-out", "BENCH_compact.json", "compaction-scaling: summary JSON output path")
 
-	coldstartFlag    = flag.Bool("coldstart", false, "measure mmap-backed serving instead of running experiments: restart-to-first-query (v1 decode vs v2 mmap, clean checkpoints) and sustained queries under a resident budget 1/8th of the checkpoint; gates mmap ≡ heap ≡ brute force first, emits -coldstart-out JSON")
+	coldstartFlag    = flag.Bool("coldstart", false, "measure mmap-backed serving instead of running experiments: restart-to-first-query (heap decode vs mmap of one clean v2 checkpoint) and sustained queries under a resident budget 1/8th of the checkpoint; gates mmap ≡ heap ≡ brute force first, emits -coldstart-out JSON")
 	coldstartOutFlag = flag.String("coldstart-out", "BENCH_mmap.json", "coldstart: summary JSON output path")
 
 	serveLoadFlag = flag.String("serve-load", "", "load-test a query server instead of running experiments: a base URL like http://host:8080, or 'self' to serve a synthetic corpus in-process")
@@ -97,6 +97,9 @@ type testSet struct {
 
 func main() {
 	flag.Parse()
+	if *mixedDTFlag < 0 {
+		fatal(fmt.Errorf("-mixed-delta-threshold %d: negative values selected the synchronous-cascade mode, which was removed; every mutation goes through the delta buffer (use 0 for the server default)", *mixedDTFlag))
+	}
 	n := *nFlag
 	queries := *queriesFlag
 	if *quickFlag {
@@ -308,7 +311,7 @@ func buildTestSets(n int) []*testSet {
 			// same results but fewer evaluations, so it would silently
 			// deflate every reproduced number; -query-scaling measures its
 			// effect separately.
-			ix.SetLayerPruning(false)
+			ix.SetPruningMode(core.PruneNothing)
 			fmt.Printf("built %-12s n=%d layers=%d in %v\n", name, n, ix.NumLayers(), time.Since(start).Round(time.Millisecond))
 			sets[i] = &testSet{name: name, dist: dist, dim: dim, ix: ix, n: n}
 		}(i, s.name, s.dist, s.dim)

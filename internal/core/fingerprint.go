@@ -76,11 +76,12 @@ func (ix *Index) Fingerprint() string {
 // (ID, vector-bits) multiset of live records, ignoring layer structure
 // entirely. Two indexes content-fingerprint equal iff they hold the
 // same records — whether one carries a pending delta buffer and the
-// other was rebuilt from scratch. This is the recovery oracle for the
-// incremental write path: WAL replay re-cascades operations, so the
-// recovered layer partition legitimately differs from a live snapshot
-// whose recent mutations still sit in the delta, but the record set
-// (and therefore every query answer) must match exactly.
+// other was rebuilt from scratch. This is the recovery oracle across a
+// fold: a checkpoint persists a folded copy of a delta-carrying
+// snapshot, and a background compaction re-layers the live one, so
+// the recovered layer partition legitimately differs from the live
+// snapshot, but the record set (and therefore every query answer)
+// must match exactly.
 func (ix *Index) ContentFingerprint() string {
 	recs := ix.Records()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })

@@ -276,21 +276,6 @@ func (ix *Index) PruningMode() PruningMode {
 	}
 }
 
-// SetLayerPruning is the historical on/off switch, kept as a shim over
-// SetPruningMode: off means no bound-based skipping at all (layer OR
-// shell — a caller asking for the paper-faithful full evaluation must
-// not get partial layers), on restores full pruning.
-func (ix *Index) SetLayerPruning(on bool) {
-	if on {
-		ix.SetPruningMode(PruneAll)
-	} else {
-		ix.SetPruningMode(PruneNothing)
-	}
-}
-
-// LayerPruning reports whether bound-based layer pruning is enabled.
-func (ix *Index) LayerPruning() bool { return !ix.noPrune }
-
 // SetShellPruning enables or disables the spherical-shell index mode at
 // runtime: on builds the shell tables (bucket-ordering the slabs), off
 // drops them. A deferred layout (after a mutation) is rebuilt in the

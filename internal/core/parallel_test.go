@@ -63,8 +63,8 @@ func TestBuildParallelDeterminism(t *testing.T) {
 
 // TestMaintenanceParallelDeterminism applies the same mutation sequence
 // to sequential and parallel indexes and requires identical layerings
-// afterwards — the property that keeps the serving layer's seeded
-// clone-and-replay valid at any worker bound.
+// afterwards — the property that makes the serving layer's background
+// folds independent of the worker bound.
 func TestMaintenanceParallelDeterminism(t *testing.T) {
 	recs := mkRecords(workload.Points(workload.Gaussian, 3000, 3, 99))
 	mutate := func(ix *Index) {

@@ -192,10 +192,9 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 
 // TestPruningModeSemantics pins the unified pruning switch: the enum
 // round-trips through its string form, every mode returns bit-identical
-// results, the legacy SetLayerPruning(false) shim disables shell
-// pruning too (a caller asking for the paper-faithful full evaluation
-// must not get partially-evaluated layers), and SetShellPruning
-// builds/drops the tables at runtime.
+// results, PruneNothing disables shell pruning too (a caller asking for
+// the paper-faithful full evaluation must not get partially-evaluated
+// layers), and SetShellPruning builds/drops the tables at runtime.
 func TestPruningModeSemantics(t *testing.T) {
 	for _, m := range []PruningMode{PruneAll, PruneLayersOnly, PruneNothing} {
 		got, err := ParsePruningMode(m.String())
@@ -266,20 +265,12 @@ func TestPruningModeSemantics(t *testing.T) {
 		resultsBitIdentical(t, fmt.Sprintf("no-prune q%d", i), none.res[i], all.res[i])
 	}
 
-	// The legacy boolean shim maps onto the enum's extremes.
-	ix.SetLayerPruning(false)
-	if ix.PruningMode() != PruneNothing {
-		t.Fatalf("SetLayerPruning(false) left mode %v, want PruneNothing", ix.PruningMode())
-	}
-	if p := run(); p.skipped != 0 || p.pruned != 0 {
-		t.Fatalf("SetLayerPruning(false) still pruned (skipped=%d, layers=%d)", p.skipped, p.pruned)
-	}
-	ix.SetLayerPruning(true)
+	ix.SetPruningMode(PruneAll)
 	if ix.PruningMode() != PruneAll {
-		t.Fatalf("SetLayerPruning(true) left mode %v, want PruneAll", ix.PruningMode())
+		t.Fatalf("mode = %v after SetPruningMode(PruneAll)", ix.PruningMode())
 	}
 	if p := run(); p.skipped == 0 {
-		t.Fatal("SetLayerPruning(true) did not restore shell pruning")
+		t.Fatal("SetPruningMode(PruneAll) did not restore shell pruning")
 	}
 
 	// Runtime toggling drops and rebuilds the tables.

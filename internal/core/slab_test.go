@@ -85,18 +85,18 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				ix.SetParallelism(workers)
-				for _, prune := range []bool{true, false} {
-					ix.SetLayerPruning(prune)
+				for _, mode := range []PruningMode{PruneAll, PruneNothing} {
+					ix.SetPruningMode(mode)
 					got, _, err := ix.TopN(w, n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%v %dD trial %d workers=%d prune=%v", tc.dist, tc.d, trial, workers, prune)
+					label := fmt.Sprintf("%v %dD trial %d workers=%d pruning=%v", tc.dist, tc.d, trial, workers, mode)
 					resultsBitIdentical(t, label, got, wantRes)
 				}
 			}
 			ix.SetParallelism(0)
-			ix.SetLayerPruning(true)
+			ix.SetPruningMode(PruneAll)
 
 			// Brute-force oracle: same accumulation order (geom.Dot), so
 			// scores must match to the bit; tie order between oracle and
@@ -237,12 +237,12 @@ func TestPruningFiresAndIsExact(t *testing.T) {
 	ix := shellIndex(t)
 	w := []float64{1, 0.5, 0.25}
 
-	ix.SetLayerPruning(false)
+	ix.SetPruningMode(PruneNothing)
 	wantRes, wantStats, err := ix.TopN(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetLayerPruning(true)
+	ix.SetPruningMode(PruneAll)
 	gotRes, gotStats, err := ix.TopN(w, 3)
 	if err != nil {
 		t.Fatal(err)

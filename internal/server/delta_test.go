@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -28,52 +29,70 @@ func sameRanking(a, b []core.Result) bool {
 	return true
 }
 
-// TestDeltaMatchesLegacyServing drives one mutation script through two
-// servers sharing a common seed corpus — one on the incremental delta
-// path, one on the legacy synchronous cascade — and requires every
-// query answer to be bit-identical between them. This is the serving-
-// layer form of the core equivalence property: publish mechanics must
-// be invisible to results.
+// bruteRanking ranks every record against w on the index's total
+// order (score descending, ID ascending). The dot product accumulates
+// in coordinate order like the layer kernels, so scores are
+// bit-identical to the served ones.
+func bruteRanking(recs []core.Record, w []float64, n int) []core.Result {
+	out := make([]core.Result, len(recs))
+	for i, r := range recs {
+		var s float64
+		for j, wj := range w {
+			s += wj * r.Vector[j]
+		}
+		out[i] = core.Result{ID: r.ID, Score: s}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].ID < out[b].ID
+	})
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// TestDeltaMatchesLegacyServing drives one mutation script through a
+// server on the delta write path and, in lockstep, through a private
+// core.Index twin re-layered by the paper's Section 3.4 cascades
+// (InsertBatch/DeleteBatch). Every served answer must be bit-identical
+// to the twin's and to a brute-force ranking of the twin's records:
+// publish mechanics must be invisible to results.
 func TestDeltaMatchesLegacyServing(t *testing.T) {
 	const n, d = 300, 3
-	mk := func(threshold int) *Server {
-		s := New(buildIndex(t, n, d, 77), Config{DeltaThreshold: threshold})
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.Close(ctx)
-		})
-		return s
-	}
 	// A huge threshold keeps every mutation in the delta buffer for the
-	// whole test; -1 re-cascades synchronously.
-	delta, legacy := mk(1<<20), mk(-1)
+	// whole test.
+	s := New(buildIndex(t, n, d, 77), Config{DeltaThreshold: 1 << 20})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	twin := buildIndex(t, n, d, 77)
 
 	ctx := context.Background()
 	extra := workload.Points(workload.Uniform, 60, d, 99)
-	step := func(i int, do func(s *Server) error) {
-		t.Helper()
-		for _, s := range []*Server{delta, legacy} {
-			if err := do(s); err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-		}
-	}
 	weights := [][]float64{{0.5, 0.3, 0.2}, {1, 0, 0}, {-0.4, 1.2, 0.1}}
 	check := func(i int) {
 		t.Helper()
+		recs := twin.Records()
 		for wi, w := range weights {
 			for _, nn := range []int{1, 10, 50} {
-				dr, _, err := delta.Snapshot().TopN(w, nn)
+				dr, _, err := s.Snapshot().TopN(w, nn)
 				if err != nil {
 					t.Fatalf("step %d: delta topn: %v", i, err)
 				}
-				lr, _, err := legacy.Snapshot().TopN(w, nn)
+				lr, _, err := twin.TopN(w, nn)
 				if err != nil {
-					t.Fatalf("step %d: legacy topn: %v", i, err)
+					t.Fatalf("step %d: twin topn: %v", i, err)
 				}
 				if !sameRanking(dr, lr) {
-					t.Fatalf("step %d: weight %d n=%d: delta path diverges from legacy cascade", i, wi, nn)
+					t.Fatalf("step %d: weight %d n=%d: delta path diverges from the cascaded twin", i, wi, nn)
+				}
+				if !sameRanking(dr, bruteRanking(recs, w, nn)) {
+					t.Fatalf("step %d: weight %d n=%d: delta path diverges from brute force", i, wi, nn)
 				}
 			}
 		}
@@ -85,22 +104,33 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 				{ID: uint64(50000 + 2*i), Vector: extra[(2*i)%len(extra)]},
 				{ID: uint64(50000 + 2*i + 1), Vector: extra[(2*i+1)%len(extra)]},
 			}
-			step(i, func(s *Server) error { return s.Insert(ctx, recs) })
-		case 2: // delete a seed record still present on both
-			step(i, func(s *Server) error { return s.Delete(ctx, []uint64{uint64(3*i + 1)}) })
+			if err := s.Insert(ctx, recs); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			if err := twin.InsertBatch(recs); err != nil {
+				t.Fatalf("step %d: twin: %v", i, err)
+			}
+		case 2: // delete a seed record still present
+			id := uint64(3*i + 1)
+			if err := s.Delete(ctx, []uint64{id}); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			if err := twin.DeleteBatch([]uint64{id}); err != nil {
+				t.Fatalf("step %d: twin: %v", i, err)
+			}
 		case 3: // missing-ok delete mixing present and absent IDs
-			step(i, func(s *Server) error {
-				_, err := s.DeleteIfPresent(ctx, []uint64{uint64(3*i + 2), 888888})
-				return err
-			})
+			got, err := s.DeleteIfPresent(ctx, []uint64{uint64(3*i + 2), 888888})
+			if err != nil || got != 1 {
+				t.Fatalf("step %d: DeleteIfPresent = %d, %v; want 1, nil", i, got, err)
+			}
+			if err := twin.DeleteBatch([]uint64{uint64(3*i + 2)}); err != nil {
+				t.Fatalf("step %d: twin: %v", i, err)
+			}
 		}
 		check(i)
 	}
-	if !delta.Snapshot().HasDelta() {
-		t.Fatal("delta server folded its buffer; the test exercised nothing")
-	}
-	if legacy.Snapshot().HasDelta() {
-		t.Fatal("legacy server grew a delta buffer")
+	if !s.Snapshot().HasDelta() {
+		t.Fatal("server folded its buffer; the test exercised nothing")
 	}
 }
 

@@ -412,8 +412,8 @@ func TestApplyPartialBatchFailure(t *testing.T) {
 	defer s.Close(context.Background())
 
 	okIns := op{insert: []core.Record{{ID: 9001, Vector: []float64{50, 50}}}, reply: make(chan opResult, 1)}
-	// Fails validation via the intra-batch duplicate check; any error
-	// forces the discard-and-replay path in apply().
+	// Fails validation via the intra-batch duplicate check; a failed op
+	// must leave the clone exactly as the previous op left it.
 	badIns := op{insert: []core.Record{
 		{ID: 9002, Vector: []float64{1, 1}},
 		{ID: 9002, Vector: []float64{2, 2}},

@@ -76,16 +76,10 @@ type Config struct {
 	// automatic checkpoints (explicit Checkpoint calls still work).
 	CheckpointBytes int64
 	// Options is passed to core.FromLayers when a checkpoint is loaded,
-	// carrying the tolerance/seed/parallelism the recovered index should
-	// use for subsequent maintenance. Must match the options of the
-	// index whose mutations were logged, or replay determinism is lost.
+	// carrying the tolerance/seed/parallelism the recovered index uses
+	// for later compactions. Recovery itself does no hull work — the log
+	// replays through the delta buffer — so it does not depend on them.
 	Options core.Options
-	// CheckpointV1 writes checkpoints in the legacy v1 paged format
-	// instead of the default v2 extent format. v1 checkpoints cannot be
-	// memory-mapped and drop the compactor aux blob; the option exists
-	// for format-migration tests and as a rollback lever. Reading is
-	// always version-sniffed, so either format recovers regardless.
-	CheckpointV1 bool
 	// Mmap serves the recovered checkpoint from a memory mapping
 	// (storage.MappedV2) instead of decoding it onto the heap: restart
 	// is open + map + WAL replay, with vector extents paged in on
@@ -104,7 +98,7 @@ const DefaultCheckpointBytes = 64 << 20
 // Manager pairs a write-ahead log with atomic full-index checkpoints in
 // one data directory:
 //
-//	checkpoint-<seq>.onion   paged flat-file snapshot (storage format)
+//	checkpoint-<seq>.onion   full snapshot (storage format v2)
 //	wal-<seq>.log            mutations applied since that checkpoint
 //
 // The protocol keeps exactly one epoch live. A checkpoint rotation
@@ -342,6 +336,13 @@ func (b baseVectors) Vector(id uint64) ([]float64, bool) { return b.ix.BaseVecto
 
 // recoverLog replays the current epoch's log into ix, truncates any
 // torn tail, and leaves the manager with an open append handle.
+//
+// Replay goes through the delta buffer, exactly as the serving layer
+// applied each logged batch before it was acknowledged: the recovered
+// index is the checkpoint's layered base plus the same delta, with no
+// hull work. A restart therefore serves what was published (delta
+// records keep Layer -1 until the next fold), and a mapped checkpoint
+// stays mapped.
 func (m *Manager) recoverLog(ix *core.Index) error {
 	path := filepath.Join(m.dir, walName(m.seq))
 	data, err := m.fs.ReadFile(path)
@@ -371,9 +372,9 @@ func (m *Manager) recoverLog(ix *core.Index) error {
 		var aerr error
 		switch {
 		case len(mu.Insert) > 0:
-			aerr = ix.InsertBatch(mu.Insert)
+			aerr = ix.InsertDelta(mu.Insert)
 		case len(mu.Delete) > 0:
-			aerr = ix.DeleteBatch(mu.Delete)
+			_, aerr = ix.DeleteDelta(mu.Delete, false)
 		}
 		if aerr != nil {
 			return fmt.Errorf("wal: replaying record %d of %d: %w", i+1, len(muts), aerr)
@@ -568,26 +569,20 @@ func (m *Manager) rotateLocked(ix *core.Index) error {
 		}
 		ix = folded
 	}
-	if m.cfg.CheckpointV1 {
-		if err := storage.WriteFS(m.fs, cpPath, ix); err != nil {
-			return fmt.Errorf("wal: checkpoint %d: %w", next, err)
-		}
-	} else {
-		// v2 checkpoints persist the hierarchical compactor's cluster
-		// assignment as the aux blob, so a restart re-attaches it instead
-		// of re-running k-means and re-peeling every cluster.
-		var aux []byte
-		if cc := ix.ClusterCompactor(); cc != nil {
-			if enc, ok := cc.(interface{ EncodeSpec() ([]byte, error) }); ok {
-				var err error
-				if aux, err = enc.EncodeSpec(); err != nil {
-					return fmt.Errorf("wal: checkpoint %d: encode compactor: %w", next, err)
-				}
+	// The checkpoint persists the hierarchical compactor's cluster
+	// assignment as the v2 aux blob, so a restart re-attaches it instead
+	// of re-running k-means and re-peeling every cluster.
+	var aux []byte
+	if cc := ix.ClusterCompactor(); cc != nil {
+		if enc, ok := cc.(interface{ EncodeSpec() ([]byte, error) }); ok {
+			var err error
+			if aux, err = enc.EncodeSpec(); err != nil {
+				return fmt.Errorf("wal: checkpoint %d: encode compactor: %w", next, err)
 			}
 		}
-		if err := storage.WriteV2FS(m.fs, cpPath, ix, aux); err != nil {
-			return fmt.Errorf("wal: checkpoint %d: %w", next, err)
-		}
+	}
+	if err := storage.WriteV2FS(m.fs, cpPath, ix, aux); err != nil {
+		return fmt.Errorf("wal: checkpoint %d: %w", next, err)
 	}
 	if data, err := m.fs.ReadFile(cpPath); err == nil {
 		m.checkpointBytes.Store(int64(len(data)))

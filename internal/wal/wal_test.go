@@ -209,19 +209,21 @@ func TestManagerBootstrapAndRecover(t *testing.T) {
 	}
 	want := built.Fingerprint()
 
-	// Mutate through the manager exactly as the serving layer does.
+	// Mutate through the manager exactly as the serving layer does:
+	// shallow clone, delta buffer, commit.
 	extra := testRecords(t, 10, 3, 99)
 	for i := range extra {
 		extra[i].ID += 1000
 	}
-	next := built.Clone()
-	if err := next.InsertBatch(extra[:5]); err != nil {
+	next := built.CloneDelta()
+	if err := next.InsertDelta(extra[:5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Insert: extra[:5]}}, next); err != nil {
 		t.Fatal(err)
 	}
-	if err := next.DeleteBatch([]uint64{1, 2}); err != nil {
+	next = next.CloneDelta()
+	if _, err := next.DeleteDelta([]uint64{1, 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Delete: []uint64{1, 2}}}, next); err != nil {
@@ -240,11 +242,14 @@ func TestManagerBootstrapAndRecover(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no state recovered")
 	}
+	// Replay rebuilds the published snapshot exactly: the checkpoint's
+	// layers plus the same delta (the fingerprint covers both).
 	if got := rec.Fingerprint(); got != wantFinal {
 		t.Fatalf("recovered fingerprint %s, want %s", got, wantFinal)
 	}
-	if rec.Len() != next.Len() {
-		t.Fatalf("recovered %d records, want %d", rec.Len(), next.Len())
+	if rec.Len() != next.Len() || rec.DeltaLen() != next.DeltaLen() {
+		t.Fatalf("recovered %d records (delta %d), want %d (delta %d)",
+			rec.Len(), rec.DeltaLen(), next.Len(), next.DeltaLen())
 	}
 	m2.Close()
 }
@@ -259,9 +264,9 @@ func TestManagerCheckpointRotation(t *testing.T) {
 	}
 	next := built
 	for i := 0; i < 3; i++ {
-		next = next.Clone()
+		next = next.CloneDelta()
 		rec := core.Record{ID: uint64(5000 + i), Vector: []float64{float64(i), -float64(i)}}
-		if err := next.InsertBatch([]core.Record{rec}); err != nil {
+		if err := next.InsertDelta([]core.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.CommitBatch([]Mutation{{Insert: []core.Record{rec}}}, next); err != nil {
@@ -282,8 +287,10 @@ func TestManagerCheckpointRotation(t *testing.T) {
 	m.Close()
 
 	fs.Crash()
+	// Each rotation folded the delta into the checkpoint, so the layers
+	// differ from the delta-carrying snapshot; the content must not.
 	_, rec := openTestManager(t, fs, Config{CheckpointBytes: 1})
-	if rec == nil || rec.Fingerprint() != next.Fingerprint() {
+	if rec == nil || rec.ContentFingerprint() != next.ContentFingerprint() {
 		t.Fatalf("recovery after rotations: got %v", rec)
 	}
 }
@@ -299,24 +306,29 @@ func TestManagerRecoversMidRotation(t *testing.T) {
 	if err := m.Bootstrap(built); err != nil {
 		t.Fatal(err)
 	}
-	next := built.Clone()
+	next := built.CloneDelta()
 	rec := core.Record{ID: 9001, Vector: []float64{4, 4}}
-	if err := next.InsertBatch([]core.Record{rec}); err != nil {
+	if err := next.InsertDelta([]core.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Insert: []core.Record{rec}}}, next); err != nil {
 		t.Fatal(err)
 	}
 	// Hand-write epoch 2's checkpoint as a durable file, as if the crash
-	// hit between rotation steps 2 and 3.
-	if err := writeDurable(fs, "/data/"+checkpointName(2), marshalIndex(t, next)); err != nil {
+	// hit between rotation steps 2 and 3. A rotation folds the delta
+	// first, and the on-disk format holds layers only.
+	folded, err := next.CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeDurable(fs, "/data/"+checkpointName(2), marshalIndex(t, folded)); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
 	fs.Crash()
 
 	m2, got := openTestManager(t, fs, Config{CheckpointBytes: -1})
-	if got == nil || got.Fingerprint() != next.Fingerprint() {
+	if got == nil || got.Fingerprint() != folded.Fingerprint() {
 		t.Fatal("mid-rotation recovery lost state")
 	}
 	if m2.Seq() != 2 {
@@ -375,16 +387,16 @@ func TestManagerEmptyIndexCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete everything, checkpoint the empty state.
-	empty := built.Clone()
+	empty := built.CloneDelta()
 	ids := make([]uint64, 0, built.Len())
 	for _, r := range built.Records() {
 		ids = append(ids, r.ID)
 	}
-	if err := empty.DeleteBatch(ids); err != nil {
+	if _, err := empty.DeleteDelta(ids, false); err != nil {
 		t.Fatal(err)
 	}
-	if empty.Len() != 0 || empty.NumLayers() != 0 {
-		t.Fatalf("delete-all left %d records in %d layers", empty.Len(), empty.NumLayers())
+	if empty.Len() != 0 {
+		t.Fatalf("delete-all left %d records", empty.Len())
 	}
 	if err := m.Checkpoint(empty); err != nil {
 		t.Fatal(err)
@@ -393,13 +405,13 @@ func TestManagerEmptyIndexCheckpoint(t *testing.T) {
 	fs.Crash()
 
 	m2, rec := openTestManager(t, fs, Config{CheckpointBytes: -1})
-	if rec == nil || rec.Len() != 0 || rec.Dim() != 2 {
+	if rec == nil || rec.Len() != 0 || rec.NumLayers() != 0 || rec.Dim() != 2 {
 		t.Fatalf("empty checkpoint recovery: %+v", rec)
 	}
 	// The recovered empty index accepts inserts (and they are durable).
-	next := rec.Clone()
+	next := rec.CloneDelta()
 	r := core.Record{ID: 1, Vector: []float64{1, 2}}
-	if err := next.InsertBatch([]core.Record{r}); err != nil {
+	if err := next.InsertDelta([]core.Record{r}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.CommitBatch([]Mutation{{Insert: []core.Record{r}}}, next); err != nil {
@@ -422,12 +434,12 @@ func TestManagerFsyncModes(t *testing.T) {
 			if err := m.Bootstrap(built); err != nil {
 				t.Fatal(err)
 			}
-			next := built.Clone()
+			next := built.CloneDelta()
 			recs := testRecords(t, 3, 2, 31)
 			for i := range recs {
 				recs[i].ID += 500
 			}
-			if err := next.InsertBatch(recs); err != nil {
+			if err := next.InsertDelta(recs); err != nil {
 				t.Fatal(err)
 			}
 			muts := []Mutation{{Insert: recs[:1]}, {Insert: recs[1:]}}
@@ -458,10 +470,10 @@ func TestManagerFsyncModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.fsyncs.Load()
-	next := built.Clone()
+	next := built.CloneDelta()
 	recs := testRecords(t, 2, 2, 37)
 	recs[0].ID, recs[1].ID = 901, 902
-	if err := next.InsertBatch(recs); err != nil {
+	if err := next.InsertDelta(recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Insert: recs[:1]}, {Insert: recs[1:]}}, next); err != nil {

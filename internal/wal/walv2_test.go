@@ -109,16 +109,13 @@ func TestV1ToV2Migration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _, err := Open(dir, Config{CheckpointV1: true})
-	if err != nil {
+	// A v1-era data directory: epoch 1's checkpoint in the legacy paged
+	// format and no log (recovery creates an empty one).
+	if err := storage.Write(filepath.Join(dir, checkpointName(1)), ix); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Bootstrap(ix); err != nil {
-		t.Fatal(err)
-	}
-	mgr.Close()
 	if v := checkpointVersion(t, dir); v != 1 {
-		t.Fatalf("CheckpointV1 wrote format v%d", v)
+		t.Fatalf("seeded checkpoint is format v%d, want v1", v)
 	}
 
 	// Mmap config against a v1 checkpoint: decode fallback, no mapping,
@@ -279,5 +276,142 @@ func TestCompactorPersistsAcrossRestart(t *testing.T) {
 	}
 	if a, b := apply(ix), apply(ix2); a != b {
 		t.Fatalf("restart-then-fold diverged from fold: %s vs %s", a, b)
+	}
+}
+
+// TestMmapRecoveryReplaysOntoMapping: a restart under Mmap whose log
+// holds committed mutations still serves from the mapping. Replay goes
+// through the delta buffer, so the mapped base is never rebuilt on the
+// heap, and the recovered index is the published snapshot exactly.
+func TestMmapRecoveryReplaysOntoMapping(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := core.Build(testRecords(t, 500, 3, 43), core.Options{Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, _, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Bootstrap(ix); err != nil {
+		t.Fatal(err)
+	}
+	extra := testRecords(t, 5, 3, 47)
+	for i := range extra {
+		extra[i].ID += 10_000
+	}
+	next := ix.CloneDelta()
+	if err := next.InsertDelta(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.CommitBatch([]Mutation{{Insert: extra}}, next); err != nil {
+		t.Fatal(err)
+	}
+	next = next.CloneDelta()
+	del := []uint64{1, 2, extra[1].ID}
+	if _, err := next.DeleteDelta(del, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.CommitBatch([]Mutation{{Delete: del}}, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil { // no checkpoint: the log holds both batches
+		t.Fatal(err)
+	}
+
+	mgr2, rec, err := Open(dir, Config{Mmap: true, Options: core.Options{Seed: 43}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	mp := mgr2.Mapped()
+	if mp == nil {
+		t.Fatal("recovery with a non-empty log did not serve from the mapping")
+	}
+	if got, want := rec.Fingerprint(), next.Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %s, want %s", got, want)
+	}
+	for _, w := range [][]float64{{1, 0.5, -0.2}, {-1, 2, 0}} {
+		want, _, err := next.TopN(w, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := rec.TopN(w, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("mmap recovery results diverge for %v", w)
+		}
+	}
+	if mp.ExtentsTouched() == 0 {
+		t.Fatal("queries on the recovered index touched no mapped extent")
+	}
+}
+
+// TestCompactorSurvivesLogReplay: a restart whose log holds committed
+// mutations keeps the checkpoint's cluster assignment. Replay goes
+// through the delta buffer, which leaves the compactor attached (a
+// cascade would detach it), and the next fold is hierarchical and
+// bit-identical to the same fold on the never-restarted snapshot.
+func TestCompactorSurvivesLogReplay(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := core.Build(testRecords(t, 400, 3, 53), core.Options{Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hierarchy.Attach(ix, hierarchy.CompactorOptions{Clusters: 4, Seed: 53}); err != nil {
+		t.Fatal(err)
+	}
+	mgr, _, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Bootstrap(ix); err != nil {
+		t.Fatal(err)
+	}
+	fresh := testRecords(t, 10, 3, 59)
+	for i := range fresh {
+		fresh[i].ID += 10_000
+	}
+	next := ix.CloneDelta()
+	if err := next.InsertDelta(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.DeleteDelta([]uint64{5, 17, 230}, false); err != nil {
+		t.Fatal(err)
+	}
+	muts := []Mutation{{Insert: fresh}, {Delete: []uint64{5, 17, 230}}}
+	if err := mgr.CommitBatch(muts, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil { // no checkpoint: restart replays
+		t.Fatal(err)
+	}
+
+	mgr2, rec, err := Open(dir, Config{Options: core.Options{Seed: 53}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if rec.ClusterCompactor() == nil {
+		t.Fatal("log replay detached the restored cluster assignment")
+	}
+	if got, want := rec.Fingerprint(), next.Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %s, want %s", got, want)
+	}
+	want, err := next.CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ClusterCompactor() == nil {
+		t.Fatal("fold after restart dropped the compactor")
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatal("fold after restart diverged from the fold without one")
 	}
 }

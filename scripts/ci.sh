@@ -56,6 +56,13 @@ awk -v t="$total" 'BEGIN { if (t+0 < 88.5) { print "coverage gate: " t "% is bel
 echo "== shard divergence fault injection (-race, -count=2)"
 go test -race -count=2 -run 'TestDivergedReplica|TestResyncTolerates|TestWriteFailsClean' ./internal/shard
 
+# WAL crash torture, repeated: the byte-offset power-loss sweeps run a
+# live server whose background folds race the mutation stream (the
+# hierarchical variant waits for a fold before it crashes). Twenty
+# rounds catch a timing-dependent wait that a single run can miss.
+echo "== WAL crash torture (-count=20)"
+go test -count=20 -run 'TestCrashAtEvery' ./internal/wal
+
 # Short-budget fuzz passes. Seconds each, so regressions in the WAL
 # replayer (panic on crash garbage, non-canonical re-encoding) and the
 # query path (TopN vs brute force under adversarial weights) surface in
@@ -75,8 +82,8 @@ go test -run='^$' -fuzz=FuzzCheckpointV2RoundTrip -fuzztime=5s ./internal/storag
 
 # Parallel-build determinism smoke: a small -build-scaling sweep exits
 # non-zero if any worker count produces a different layer partition
-# than the sequential build (the guarantee the serving layer's seeded
-# replay depends on — see DESIGN.md §7). Kept small so it adds seconds,
+# than the sequential build (the guarantee background folds depend on —
+# see DESIGN.md §7). Kept small so it adds seconds,
 # not minutes; the committed BENCH_build.json is the full-size run.
 echo "== parallel build determinism smoke (onionbench -build-scaling)"
 smoke_out="$(mktemp)"
