@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -51,52 +49,9 @@ type buildScalingSummary struct {
 	IdenticalOutput bool              `json:"identical_output"`
 }
 
-// parseIntList parses a comma-separated list of positive integers,
-// dropping duplicates while preserving order.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad count %q (want positive integers)", part)
-		}
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-func parseWorkerList(s string) ([]int, error) {
-	out, err := parseIntList(s)
-	if err != nil {
-		return nil, err
-	}
-	// The sweep's speedups are reported relative to 1 worker; make sure
-	// the baseline is part of the sweep (first, so it anchors the table).
-	if out[0] != 1 {
-		for _, w := range out[1:] {
-			if w == 1 {
-				return out, nil
-			}
-		}
-		out = append([]int{1}, out...)
-	}
-	return out, nil
-}
-
 func buildScaling(n int, workerList, outPath string) {
 	const dim = 4
-	workers, err := parseWorkerList(workerList)
+	workers, err := parsePosInts(workerList, "worker count", true)
 	if err != nil {
 		fatal(err)
 	}

@@ -147,11 +147,11 @@ func cacheScaling(n, queries int, outPath string) {
 				if err != nil {
 					fatal(err)
 				}
-				if got := cachedTopN(gate, w, topn); !sameResults(want, got) {
-					fatal(fmt.Errorf("cache gate: cached result diverges from uncached (weights %d, top-%d, pass %d)", qi, topn, pass))
+				if err := diffRanking(cachedTopN(gate, w, topn), want, true); err != nil {
+					fatal(fmt.Errorf("cache gate: cached result diverges from uncached (weights %d, top-%d, pass %d): %w", qi, topn, pass, err))
 				}
 				if pass == 0 && topn == 100 && qi < 8 {
-					if err := checkBruteForce(recs, w, topn, want); err != nil {
+					if err := diffRanking(want, bruteTopN(recs, w, topn), false); err != nil {
 						fatal(fmt.Errorf("cache gate: weights %d: %w", qi, err))
 					}
 				}

@@ -300,7 +300,7 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 		if err != nil {
 			return err
 		}
-		if err := checkBruteForce(recs, w, topn, base); err != nil {
+		if err := diffRanking(base, bruteTopN(recs, w, topn), false); err != nil {
 			return fmt.Errorf("query %d: heap vs brute: %w", wi, err)
 		}
 		for _, alt := range []struct {
@@ -311,8 +311,8 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 			if err != nil {
 				return fmt.Errorf("query %d: %s: %w", wi, alt.name, err)
 			}
-			if !sameResults(base, got) {
-				return fmt.Errorf("query %d: %s TopN diverged from heap", wi, alt.name)
+			if err := diffRanking(got, base, true); err != nil {
+				return fmt.Errorf("query %d: %s TopN diverged from heap: %w", wi, alt.name, err)
 			}
 			// Progressive: the streamed prefix must match the one-shot
 			// list element for element.
@@ -339,8 +339,8 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 		if err != nil {
 			return err
 		}
-		if !sameResults(solo, baseBatch[qi]) {
-			return fmt.Errorf("heap batch query %d diverged from solo", qi)
+		if err := diffRanking(baseBatch[qi], solo, true); err != nil {
+			return fmt.Errorf("heap batch query %d diverged from solo: %w", qi, err)
 		}
 	}
 	for _, alt := range []struct {
@@ -352,8 +352,8 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 			return fmt.Errorf("%s batch: %w", alt.name, err)
 		}
 		for qi := range ws {
-			if !sameResults(baseBatch[qi], batch[qi]) {
-				return fmt.Errorf("%s batch query %d diverged from heap batch", alt.name, qi)
+			if err := diffRanking(batch[qi], baseBatch[qi], true); err != nil {
+				return fmt.Errorf("%s batch query %d diverged from heap batch: %w", alt.name, qi, err)
 			}
 		}
 	}

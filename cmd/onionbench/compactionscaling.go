@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -77,38 +75,13 @@ type compactRound struct {
 	RefoldedRecords  int     `json:"refolded_records"` // hull work the hierarchical fold paid for
 }
 
-// parsePosInts parses a comma-separated list of positive integers,
-// preserving order and dropping duplicates.
-func parsePosInts(s, what string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad %s %q (want positive integers)", what, part)
-		}
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty %s list", what)
-	}
-	return out, nil
-}
-
 func compactionScaling(sizesCSV, deltasCSV string, clusters, rounds int, outPath string) {
 	const dim = 3
-	sizes, err := parsePosInts(sizesCSV, "corpus size")
+	sizes, err := parsePosInts(sizesCSV, "corpus size", false)
 	if err != nil {
 		fatal(err)
 	}
-	deltas, err := parsePosInts(deltasCSV, "delta size")
+	deltas, err := parsePosInts(deltasCSV, "delta size", false)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,7 +110,7 @@ func compactionScaling(sizesCSV, deltasCSV string, clusters, rounds int, outPath
 				gotF, _, err1 := flat.TopN(w, k)
 				gotH, _, err2 := hier.TopN(w, k)
 				oracleChecks++
-				if err1 != nil || err2 != nil || !sameRankingIDScore(gotF, want) || !sameRankingIDScore(gotH, want) {
+				if err1 != nil || err2 != nil || diffRanking(gotF, want, false) != nil || diffRanking(gotH, want, false) != nil {
 					mismatches++
 					fmt.Fprintf(os.Stderr, "compaction-scaling: n=%d delta=%d %s: top-%d diverged (err1=%v err2=%v)\n",
 						n, delta, stage, k, err1, err2)
@@ -162,7 +135,9 @@ func compactionScaling(sizesCSV, deltasCSV string, clusters, rounds int, outPath
 
 		// Attach once per corpus; the compactor is functional, so every
 		// per-delta clone shares it by reference and folds independently.
-		hierBase := base.Clone()
+		// A fold never writes its input's base arrays, so the twins are
+		// shallow clones.
+		hierBase := base.CloneDelta()
 		t0 = time.Now()
 		comp, err := hierarchy.Attach(hierBase, hierarchy.CompactorOptions{
 			Clusters: clusters,
@@ -177,8 +152,8 @@ func compactionScaling(sizesCSV, deltasCSV string, clusters, rounds int, outPath
 
 		for _, delta := range deltas {
 			cfg := compactConfig{Points: n, Delta: delta, Clusters: comp.NumClusters(), AttachSeconds: attachS}
-			flat := base.Clone()
-			hier := hierBase.Clone()
+			flat := base.CloneDelta()
+			hier := hierBase.CloneDelta()
 			rng := rand.New(rand.NewSource(*seedFlag + int64(31*n+delta)))
 			live := make([]uint64, n)
 			for i := range live {

@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -261,6 +262,36 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "onionbench:", err)
 	os.Exit(1)
+}
+
+// parsePosInts parses a comma-separated list of positive integers,
+// preserving order and dropping duplicates. With baseline set, 1 is
+// put first when the list lacks it: those sweeps report speedups
+// relative to one worker, shard or replica, which anchors the table.
+func parsePosInts(s, what string, baseline bool) ([]int, error) {
+	var out []int
+	seen := map[int]bool{}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad %s %q (want positive integers)", what, part)
+		}
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty %s list", what)
+	}
+	if baseline && !seen[1] {
+		out = append([]int{1}, out...)
+	}
+	return out, nil
 }
 
 func buildTestSets(n int) []*testSet {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
@@ -98,45 +97,6 @@ func summarize(lats []time.Duration) quants {
 	}
 }
 
-// bruteTopN is the total-order oracle: every record scored, ranked
-// score-descending then ID-ascending. n is small; selection is linear.
-func bruteTopN(recs []core.Record, w []float64, n int) []core.Result {
-	top := make([]core.Result, 0, n)
-	for _, r := range recs {
-		var s float64
-		for j, wj := range w {
-			s += wj * r.Vector[j]
-		}
-		if len(top) == n && !topk.ResultGreater(s, r.ID, top[n-1].Score, top[n-1].ID) {
-			continue
-		}
-		i := len(top)
-		if len(top) < n {
-			top = append(top, core.Result{})
-		} else {
-			i = n - 1
-		}
-		for i > 0 && topk.ResultGreater(s, r.ID, top[i-1].Score, top[i-1].ID) {
-			top[i] = top[i-1]
-			i--
-		}
-		top[i] = core.Result{ID: r.ID, Score: s}
-	}
-	return top
-}
-
-func sameRankingIDScore(got, want []core.Result) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			return false
-		}
-	}
-	return true
-}
-
 func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPath string) {
 	const dim = 3
 	ix, _ := buildServeCorpus(n)
@@ -190,7 +150,7 @@ func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPa
 			w := weights[rng.Intn(len(weights))]
 			want := bruteTopN(snap.Records(), w, 10)
 			got, _, err := snap.TopN(w, 10)
-			if err != nil || !sameRankingIDScore(got, want) {
+			if err != nil || diffRanking(got, want, false) != nil {
 				mismatches.Add(1)
 				fmt.Fprintf(os.Stderr, "mixed-workload: sampled snapshot diverged from brute force (err=%v)\n", err)
 			}
@@ -277,7 +237,7 @@ func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPa
 		for _, k := range []int{1, 10, 100} {
 			got, _, err1 := snap.TopN(w, k)
 			want, _, err2 := rebuilt.TopN(w, k)
-			if err1 != nil || err2 != nil || !sameRankingIDScore(got, want) {
+			if err1 != nil || err2 != nil || diffRanking(got, want, false) != nil {
 				mismatches.Add(1)
 				fmt.Fprintf(os.Stderr, "mixed-workload: final snapshot diverged from rebuild at top-%d (err1=%v err2=%v)\n", k, err1, err2)
 			}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -27,12 +26,12 @@ import (
 //
 // Before any timing, every (corpus × worker count) combination is
 // checked against a brute-force scan, query by query: every mode, solo
-// TopN and TopNBatch, shells on and off, must match the oracle's score
-// bits rank by rank and agree with each other bitwise (IDs, score
-// bits, layers, order). Shells are additionally checked with an active
-// delta buffer — insert-only (shell tables live) and with tombstones
-// (the shell path must stand down for deadMax) — so the §6 structure
-// composes with the LSM write path. Any mismatch exits non-zero —
+// TopN and TopNBatch, shells on and off, must match the oracle's
+// total-order ranking (IDs and score bits, rank by rank) and agree
+// with each other bitwise (layers included). Shells are additionally
+// checked with an active delta buffer — insert-only (shell tables
+// live) and with tombstones (the shell path must stand down for
+// deadMax) — so the §6 structure composes with the LSM write path. Any mismatch exits non-zero —
 // scripts/ci.sh runs a small sweep as a regression gate on exactly
 // this property.
 //
@@ -98,11 +97,11 @@ type queryScalingSummary struct {
 // queryScaling sweeps dims × corpus sizes × top-N × worker counts over
 // the scoring paths, gating on cross-path equivalence first.
 func queryScaling(n, queries int, workerList, topNList, outPath string) {
-	workers, err := parseWorkerList(workerList)
+	workers, err := parsePosInts(workerList, "worker count", true)
 	if err != nil {
 		fatal(err)
 	}
-	topNs, err := parseIntList(topNList)
+	topNs, err := parsePosInts(topNList, "top-N depth", false)
 	if err != nil {
 		fatal(fmt.Errorf("-query-topns: %w", err))
 	}
@@ -310,12 +309,12 @@ func measureSolo(ix *core.Index, ws [][]float64, topn int) (nsPerQuery, recAvg, 
 // over an active delta buffer.
 func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int, workers []int) error {
 	defer ix.SetParallelism(workers[0])
-	oracle := newBruteOracle(recs, ws, topn)
+	want := bruteTopNs(recs, ws, topn)
 	for _, w := range workers {
 		ix.SetParallelism(w)
 		for _, m := range queryModes {
 			m.set(ix)
-			if err := oracle.checkPaths(ix, ws, topn); err != nil {
+			if err := checkPaths(ix, ws, topn, want); err != nil {
 				return fmt.Errorf("%s, workers=%d: %w", m.name, w, err)
 			}
 		}
@@ -368,10 +367,10 @@ func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]floa
 			}
 		}
 		merged = append(merged, extra...)
-		oracle := newBruteOracle(merged, ws, topn)
+		want := bruteTopNs(merged, ws, topn)
 		for _, shells := range []bool{false, true} {
 			dc.SetShellPruning(shells)
-			if err := oracle.checkPaths(dc, ws, topn); err != nil {
+			if err := checkPaths(dc, ws, topn, want); err != nil {
 				return fmt.Errorf("delta %s, shells=%v: %w", shape.name, shells, err)
 			}
 		}
@@ -379,34 +378,19 @@ func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]floa
 	return nil
 }
 
-// bruteOracle holds, per query, the descending top-n score sequence of
-// a full scan, plus every record's vector so a reported ID's score can
-// be recomputed. Scores use the index's accumulation order, so equality
-// is bitwise.
-type bruteOracle struct {
-	vec map[uint64][]float64
-	top [][]float64
-}
-
-func newBruteOracle(recs []core.Record, ws [][]float64, topn int) *bruteOracle {
-	o := &bruteOracle{vec: make(map[uint64][]float64, len(recs)), top: make([][]float64, len(ws))}
-	for _, r := range recs {
-		o.vec[r.ID] = r.Vector
-	}
-	scores := make([]float64, len(recs))
+// bruteTopNs is the oracle ranking of every query.
+func bruteTopNs(recs []core.Record, ws [][]float64, topn int) [][]core.Result {
+	want := make([][]core.Result, len(ws))
 	for q, w := range ws {
-		for i, r := range recs {
-			scores[i] = dot(w, r.Vector)
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-		o.top[q] = append([]float64(nil), scores[:min(topn, len(scores))]...)
+		want[q] = bruteTopN(recs, w, topn)
 	}
-	return o
+	return want
 }
 
 // checkPaths runs every query solo through TopN and once through
-// TopNBatch, requiring both to match the oracle and each other bitwise.
-func (o *bruteOracle) checkPaths(ix *core.Index, ws [][]float64, topn int) error {
+// TopNBatch, requiring both to match the oracle ranking want and each
+// other bitwise.
+func checkPaths(ix *core.Index, ws [][]float64, topn int, want [][]core.Result) error {
 	batched, _, err := ix.TopNBatch(ws, topn)
 	if err != nil {
 		return err
@@ -416,62 +400,12 @@ func (o *bruteOracle) checkPaths(ix *core.Index, ws [][]float64, topn int) error
 		if err != nil {
 			return err
 		}
-		if err := o.check(q, w, res); err != nil {
-			return fmt.Errorf("query %d: %w", q, err)
+		if err := diffRanking(res, want[q], false); err != nil {
+			return fmt.Errorf("query %d: brute force: %w", q, err)
 		}
-		if !sameResults(res, batched[q]) {
-			return fmt.Errorf("query %d: TopNBatch diverges from TopN", q)
-		}
-	}
-	return nil
-}
-
-// check verifies one result list against the oracle: the descending
-// score sequence must match bitwise (ties can permute IDs between
-// equally-scored records, so IDs are checked by recomputation instead
-// of position).
-func (o *bruteOracle) check(q int, w []float64, got []core.Result) error {
-	want := o.top[q]
-	if len(got) != len(want) {
-		return fmt.Errorf("brute force: %d results, want %d", len(got), len(want))
-	}
-	for i, r := range got {
-		if math.Float64bits(r.Score) != math.Float64bits(want[i]) {
-			return fmt.Errorf("brute force: rank %d score %v, want %v", i, r.Score, want[i])
-		}
-		v, ok := o.vec[r.ID]
-		if !ok || math.Float64bits(dot(w, v)) != math.Float64bits(r.Score) {
-			return fmt.Errorf("brute force: rank %d id %d does not score %v", i, r.ID, r.Score)
+		if err := diffRanking(batched[q], res, true); err != nil {
+			return fmt.Errorf("query %d: TopNBatch diverges from TopN: %w", q, err)
 		}
 	}
 	return nil
-}
-
-// checkBruteForce verifies one result list against a full scan of recs.
-func checkBruteForce(recs []core.Record, w []float64, topn int, got []core.Result) error {
-	return newBruteOracle(recs, [][]float64{w}, topn).check(0, w, got)
-}
-
-// dot is the index's score: Σ_j w_j·x_j accumulated in attribute order.
-func dot(w, v []float64) float64 {
-	var s float64
-	for j, wj := range w {
-		s += wj * v[j]
-	}
-	return s
-}
-
-// sameResults compares two result lists bitwise (rank order, IDs,
-// score bits, layer of origin).
-func sameResults(a, b []core.Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Layer != b[i].Layer ||
-			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-			return false
-		}
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -116,27 +115,12 @@ func startCluster(parts [][]core.Record, replicas int) *benchCluster {
 	return bc
 }
 
-// sameRanking compares two rankings bitwise: same length, same IDs in
-// the same order, same score bits. Layer is shard-local and excluded.
-func sameRanking(got, want []core.Result) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID ||
-			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			return false
-		}
-	}
-	return true
-}
-
 func shardScaling(n, queries int, countsSpec, replicasSpec, outPath string) {
-	counts, err := parseWorkerList(countsSpec)
+	counts, err := parsePosInts(countsSpec, "shard count", true)
 	if err != nil {
 		fatal(fmt.Errorf("-shard-counts: %w", err))
 	}
-	replicaCounts, err := parseWorkerList(replicasSpec)
+	replicaCounts, err := parsePosInts(replicasSpec, "replica count", true)
 	if err != nil {
 		fatal(fmt.Errorf("-shard-replicas: %w", err))
 	}
@@ -286,7 +270,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 			if err != nil {
 				fatal(err)
 			}
-			if !sameRanking(res.Results, want) {
+			if diffRanking(res.Results, want, false) != nil {
 				run.QueriesExact = false
 			}
 		}
@@ -315,7 +299,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 		if err != nil {
 			fatal(err)
 		}
-		if !sameRanking(batch.Queries[q].Results, want) {
+		if diffRanking(batch.Queries[q].Results, want, false) != nil {
 			run.BatchExact = false
 		}
 	}
@@ -326,7 +310,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 	// state. Every replica of a group must converge (queries below may
 	// land on any replica).
 	run.MutationExact = true
-	mutOracle := oracle.Clone()
+	mutOracle := oracle.CloneDelta()
 	fresh := workload.Points(workload.Gaussian, 64, oracle.Dim(), *seedFlag+97)
 	ins := make([]core.Record, len(fresh))
 	for i, p := range fresh {
@@ -335,7 +319,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 	if _, err := coord.Insert(ctx, ins); err != nil {
 		fatal(fmt.Errorf("coordinator insert: %w", err))
 	}
-	if err := mutOracle.InsertBatch(ins); err != nil {
+	if err := mutOracle.InsertDelta(ins); err != nil {
 		fatal(err)
 	}
 	var del []uint64
@@ -349,7 +333,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 	if applied != len(del) {
 		fatal(fmt.Errorf("coordinator delete: applied %d of %d", applied, len(del)))
 	}
-	if err := mutOracle.DeleteBatch(del); err != nil {
+	if _, err := mutOracle.DeleteDelta(del, false); err != nil {
 		fatal(err)
 	}
 	for _, w := range ws[:min(len(ws), 16)] {
@@ -361,7 +345,7 @@ func runShardConfig(shards, replicas int, partition string, recs []core.Record, 
 		if err != nil {
 			fatal(err)
 		}
-		if !sameRanking(res.Results, want) {
+		if diffRanking(res.Results, want, false) != nil {
 			run.MutationExact = false
 		}
 	}
@@ -441,7 +425,7 @@ func runHedgeExercise(recs []core.Record, oracle *core.Index, ws [][]float64) he
 		if err != nil {
 			fatal(err)
 		}
-		if !sameRanking(res.Results, want) {
+		if diffRanking(res.Results, want, false) != nil {
 			out.Exact = false
 		}
 	}

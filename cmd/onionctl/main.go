@@ -12,8 +12,9 @@
 // CSV rows are id,x1,…,xd with an optional trailing label column (used
 // by the hierarchical commands as the cluster attribute). Queries run
 // directly against the paged file (one seek per accessed layer);
-// maintenance loads the file, applies the paper's insert/delete
-// cascades, and rewrites it atomically.
+// maintenance loads the file, applies the change — a single delete
+// through the paper's cascade, an inserted batch through one re-peel —
+// and rewrites it atomically.
 package main
 
 import (

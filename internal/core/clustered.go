@@ -1,17 +1,14 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Hierarchical (clustered) compaction — the paper's Section 4 structure
 // put to work on the write path. A flat Compact folds the delta buffer
-// with the batch cascades, whose hull work grows with the whole index.
-// A ClusterCompactor instead maintains one layered Onion per k-means
-// cluster and folds a delta by re-peeling only the clusters whose
-// membership changed, so fold cost is bounded by delta size × cluster
-// size rather than corpus size.
+// by re-peeling the whole index, so its hull work grows with the
+// corpus. A ClusterCompactor instead maintains one layered Onion per
+// k-means cluster and folds a delta by re-peeling only the clusters
+// whose membership changed, so fold cost is bounded by the affected
+// clusters' size rather than corpus size.
 //
 // The clustered index a fold produces keeps the flat query path intact
 // by emitting its global layer partition as per-level unions: global
@@ -28,8 +25,9 @@ import (
 // of deep results may differ from a flat rebuild's.
 //
 // The compactor is an acceleration structure, never load-bearing for
-// correctness: legacy structural maintenance (the Section 3.4 cascades)
-// detaches it, and a detached index simply compacts flat again.
+// correctness: single-record structural maintenance (the Section 3.4
+// cascades) detaches it, and a detached index simply compacts flat
+// again.
 
 // ClusterCompactor folds delta buffers cluster-by-cluster. Implemented
 // by hierarchy.Compactor; declared here so core need not import it.
@@ -53,12 +51,13 @@ type ClusterCompactor interface {
 
 // SetClusterCompactor attaches (or, with nil, detaches) a hierarchical
 // compactor. Compact and CompactedClone then fold the delta through it
-// instead of the flat batch cascades. The compactor must describe
+// instead of re-peeling the whole index. The compactor must describe
 // exactly the index's current base record set, so attachment requires
 // an empty delta buffer and a matching record count — attach right
-// after Build/Load, or after a Compact. Structural maintenance through
-// the legacy cascading mutators detaches the compactor (the cascades
-// re-layer the base behind its back); delta mutations keep it.
+// after Build/Load, or after a Compact. The single-record cascading
+// mutators (Insert/Delete/Update) detach the compactor (the cascades
+// re-layer the base behind its back); delta mutations and folds keep
+// it.
 func (ix *Index) SetClusterCompactor(cc ClusterCompactor) error {
 	if cc == nil {
 		ix.cc = nil
@@ -76,82 +75,3 @@ func (ix *Index) SetClusterCompactor(cc ClusterCompactor) error {
 
 // ClusterCompactor returns the attached hierarchical compactor, or nil.
 func (ix *Index) ClusterCompactor() ClusterCompactor { return ix.cc }
-
-// compactClustered folds the pending delta through the attached
-// compactor and replaces the receiver with the re-layered result.
-// Unlike the flat cascade path it is atomic: the fold builds an
-// entirely new index (it never mutates the receiver's base arrays,
-// which may be shared with published snapshots), so on error the
-// receiver — delta included — is left exactly as it was.
-func (ix *Index) compactClustered() error {
-	if ix.delta == nil {
-		return nil
-	}
-	d := ix.delta
-	deadIDs := make([]uint64, 0, len(d.dead))
-	for id := range d.dead {
-		deadIDs = append(deadIDs, id)
-	}
-	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-	cc2, layers, err := ix.cc.Fold(d.recs, deadIDs)
-	if err != nil {
-		return fmt.Errorf("core: clustered compact: %w", err)
-	}
-	// Carrying shell mode in the options makes FromLayers (or Empty)
-	// rebuild the shell tables over the folded layers.
-	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers, Shells: ix.shellMode}
-	var next *Index
-	if len(layers) == 0 {
-		next, err = Empty(ix.dim, opt)
-	} else {
-		next, err = FromLayers(layers, opt)
-	}
-	if err != nil {
-		return fmt.Errorf("core: clustered compact: %w", err)
-	}
-	if cc2.Len() != len(next.posOf) {
-		return fmt.Errorf("core: clustered compact: compactor holds %d records, fold produced %d", cc2.Len(), len(next.posOf))
-	}
-	next.joggled = ix.joggled
-	next.noPrune = ix.noPrune
-	next.noShells = ix.noShells
-	next.cc = cc2
-	*ix = *next
-	return nil
-}
-
-// cloneForFold returns the minimal clone a clustered fold needs: shared
-// base fields plus a deep copy of the delta bookkeeping. Unlike
-// CloneDelta it does not mark the origin shared — the fold never
-// touches the base arrays, it replaces them wholesale — so a
-// checkpoint or background compaction leaves the source index's
-// mutability untouched.
-func (ix *Index) cloneForFold() *Index {
-	cp := &Index{
-		dim:       ix.dim,
-		pts:       ix.pts,
-		ids:       ix.ids,
-		layers:    ix.layers,
-		layerOf:   ix.layerOf,
-		posOf:     ix.posOf,
-		posLazy:   ix.posLazy,
-		recLazy:   ix.recLazy,
-		free:      ix.free,
-		tol:       ix.tol,
-		seed:      ix.seed,
-		workers:   ix.workers,
-		joggled:   ix.joggled,
-		cols:      ix.cols,
-		colLazy:   ix.colLazy,
-		noPrune:   ix.noPrune,
-		noShells:  ix.noShells,
-		shellMode: ix.shellMode,
-		slabSrc:   ix.slabSrc,
-		cc:        ix.cc,
-		shared:    true,
-	}
-	if ix.delta != nil {
-		cp.delta = ix.delta.clone()
-	}
-	return cp
-}

@@ -273,9 +273,8 @@ func TestCompactClusteredOnSharedCloneDelta(t *testing.T) {
 	}
 	baseFP := base.Fingerprint()
 
-	// A CloneDelta twin shares the base arrays; the flat cascade path
-	// must refuse to compact it, the clustered path folds it safely
-	// because the fold replaces the arrays instead of rewriting them.
+	// A CloneDelta twin shares the base arrays; the fold is safe on it
+	// because it replaces the arrays instead of rewriting them.
 	cl := base.CloneDelta()
 	if err := cl.InsertDelta([]Record{{ID: 700, Vector: []float64{2, 2, 2}}}); err != nil {
 		t.Fatal(err)

@@ -152,10 +152,10 @@ func TestColumnarMutationMaterializes(t *testing.T) {
 		for i := range fresh {
 			fresh[i].ID += 1000
 		}
-		if err := target.InsertBatch(fresh); err != nil {
+		if err := insertFold(target, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if err := target.DeleteBatch([]uint64{4, 100, 249}); err != nil {
+		if err := deleteFold(target, []uint64{4, 100, 249}); err != nil {
 			t.Fatal(err)
 		}
 		if err := target.Insert(Record{ID: 2000, Vector: []float64{0.1, -0.2, 0.3}}); err != nil {

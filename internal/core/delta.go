@@ -8,25 +8,27 @@ import (
 )
 
 // LSM-style incremental write path. The paper's Section 3.4 cascade
-// re-hulls every affected layer per mutation batch, so publish cost
-// grows with the index. The delta buffer decouples acknowledgement
-// from re-layering: mutations land in a small unlayered side
-// structure — inserts as brute-force-scored records, deletes as
-// tombstones over the layered base — and every query merges the delta
-// into its result stream on the index's total order (score descending,
-// ID ascending). Answers are bit-identical to a full rebuild while the
-// cost of applying a mutation batch is O(delta), independent of the
-// corpus. A compaction (Compact/CompactedClone) folds the delta back
-// into the layered base with the existing batch cascades when the
+// re-hulls every affected layer per mutation, so publish cost grows
+// with the index. The delta buffer decouples acknowledgement from
+// re-layering: mutations land in a small unlayered side structure —
+// inserts as brute-force-scored records, deletes as tombstones over
+// the layered base — and every query merges the delta into its result
+// stream on the index's total order (score descending, ID ascending).
+// Answers are bit-identical to a full rebuild while the cost of
+// applying a mutation batch is O(delta), independent of the corpus. A
+// fold (Compact/CompactedClone) re-layers by peeling the live record
+// set from scratch — the whole index, or through an attached
+// ClusterCompactor only the clusters the delta touched — once the
 // buffer crosses a size threshold; the serving layer runs that in the
 // background off the publish path.
 //
 // Ownership discipline: an index carrying a delta must only receive
-// delta mutations (InsertDelta/DeleteDelta/UpdateDelta). The legacy
-// cascading mutators refuse while a delta is pending, and they refuse
-// on shallow clones (CloneDelta) outright, because those share the
-// base arrays with their origin — the single-mutator serving loop
-// relies on both guards.
+// delta mutations (InsertDelta/DeleteDelta/UpdateDelta). The
+// single-record cascading mutators refuse while a delta is pending,
+// and they refuse on shallow clones (CloneDelta) outright, because
+// those share the base arrays with their origin — the single-mutator
+// serving loop relies on both guards. A fold never writes the base
+// arrays (it builds a new index), so it is safe on either.
 
 // deltaState holds the pending unlayered mutations.
 type deltaState struct {
@@ -65,9 +67,9 @@ func (d *deltaState) clone() *deltaState {
 	return cp
 }
 
-// errDeltaPending guards the legacy cascading mutators: folding the
-// delta first (Compact) is required before structural maintenance, or
-// the cascade would re-layer a base the delta still shadows.
+// errDeltaPending guards the single-record cascading mutators: folding
+// the delta first (Compact) is required before structural maintenance,
+// or the cascade would re-layer a base the delta still shadows.
 var errDeltaPending = fmt.Errorf("core: delta buffer pending; compact before structural maintenance")
 
 // errSharedBase guards every structural mutation on a shallow clone:
@@ -75,7 +77,7 @@ var errDeltaPending = fmt.Errorf("core: delta buffer pending; compact before str
 // would corrupt a published snapshot.
 var errSharedBase = fmt.Errorf("core: index shares its base arrays (CloneDelta); deep Clone before structural maintenance")
 
-// mutable reports whether the legacy cascading mutators may run.
+// mutable reports whether the single-record cascading mutators may run.
 func (ix *Index) mutable() error {
 	if ix.shared {
 		return errSharedBase
@@ -144,8 +146,7 @@ func (ix *Index) deadPosSet() map[int]bool {
 // InsertDelta appends records to the delta buffer: O(batch) per call,
 // no hull work. Validation is all-or-nothing — a dimension mismatch or
 // duplicate ID (against the merged view and within the batch) rejects
-// the whole batch before any mutation, matching InsertBatch. The
-// columnar slabs stay — they describe the base layers, which are
+// the whole batch before any mutation. The columnar slabs stay — they describe the base layers, which are
 // untouched.
 func (ix *Index) InsertDelta(recs []Record) error {
 	seen := make(map[uint64]bool, len(recs))
@@ -171,8 +172,7 @@ func (ix *Index) InsertDelta(recs []Record) error {
 // DeleteDelta removes records through the delta buffer: a delta-resident
 // ID leaves the buffer, a base-resident ID gains a tombstone; either
 // way O(batch). With missingOK false an unknown (or duplicated) ID
-// rejects the whole batch before any mutation, matching DeleteBatch;
-// with missingOK true unknown IDs are skipped and the number of records
+// rejects the whole batch before any mutation; with missingOK true unknown IDs are skipped and the number of records
 // actually removed is returned.
 func (ix *Index) DeleteDelta(ids []uint64, missingOK bool) (int, error) {
 	if !missingOK {
@@ -234,10 +234,9 @@ func (ix *Index) UpdateDelta(id uint64, vector []float64) error {
 // position maps, columnar layout) are shared by reference and only the O(delta)
 // bookkeeping is copied, so publishing a mutation batch costs O(delta)
 // instead of O(index). The clone — and, from then on, its origin —
-// must never receive structural maintenance (the legacy mutators
-// refuse, see mutable); apply mutations through
-// InsertDelta/DeleteDelta/UpdateDelta and fold them back with
-// CompactedClone.
+// must never receive single-record cascades (they refuse, see
+// mutable); apply mutations through InsertDelta/DeleteDelta/UpdateDelta
+// and fold them back with Compact or CompactedClone.
 func (ix *Index) CloneDelta() *Index {
 	cp := &Index{
 		dim:       ix.dim,
@@ -269,68 +268,89 @@ func (ix *Index) CloneDelta() *Index {
 	return cp
 }
 
-// Compact folds the pending delta into the layered base using the
-// batch cascades: tombstoned records leave via DeleteBatch, delta
-// records join via InsertBatch, and the columnar slabs are rebuilt.
-// The merged record set (and therefore every query answer) is
-// unchanged; only the layering is refreshed. Must run on a deep-owned
-// index (see CompactedClone); on a cascade error the index may be left
-// torn, so compact a disposable clone and discard it on failure.
+// Compact folds the pending delta into the layered base: the live
+// record set is peeled from scratch (see folded), so the merged record
+// set — and therefore every query answer — is unchanged; only the
+// layering is refreshed. The fold is atomic: it builds a new index and
+// swaps it in only on success, so on error the receiver, delta
+// included, is exactly as it was. It never writes the receiver's base
+// arrays, so it is safe on a shallow clone whose arrays a published
+// snapshot shares.
 func (ix *Index) Compact() error {
-	if ix.cc != nil {
-		// Hierarchical path (clustered.go): per-cluster re-peel, safe
-		// even on a shared base — the fold replaces the base arrays
-		// instead of cascading through them.
-		return ix.compactClustered()
-	}
-	if ix.shared {
-		return errSharedBase
-	}
 	if ix.delta == nil {
 		return nil
 	}
-	d := ix.delta
-	ix.delta = nil
-	if len(d.dead) > 0 {
+	next, err := ix.folded()
+	if err != nil {
+		return err
+	}
+	*ix = *next
+	return nil
+}
+
+// CompactedClone returns the index with the delta folded into the
+// layered base — the index a background compactor publishes, and the
+// one a checkpoint persists (the on-disk layer format cannot represent
+// a delta). The receiver is untouched. Without a pending delta there
+// is nothing to fold and the result is a shallow clone (CloneDelta).
+func (ix *Index) CompactedClone() (*Index, error) {
+	if ix.delta == nil {
+		return ix.CloneDelta(), nil
+	}
+	return ix.folded()
+}
+
+// folded builds the index the pending delta folds into, sorted-ID live
+// records peeled by Build — or, with a compactor attached, the
+// compactor's per-level union layers after it re-peels only the
+// clusters the delta touched (clustered.go). Construction settings and
+// the pruning flags carry over; the receiver is never written.
+func (ix *Index) folded() (*Index, error) {
+	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers, Shells: ix.shellMode}
+	var next *Index
+	var cc ClusterCompactor
+	var err error
+	if ix.cc != nil {
+		d := ix.delta
 		deadIDs := make([]uint64, 0, len(d.dead))
 		for id := range d.dead {
 			deadIDs = append(deadIDs, id)
 		}
 		sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-		if err := ix.DeleteBatch(deadIDs); err != nil {
-			return fmt.Errorf("core: compact delete: %w", err)
+		var layers [][]Record
+		if cc, layers, err = ix.cc.Fold(d.recs, deadIDs); err != nil {
+			return nil, fmt.Errorf("core: clustered compact: %w", err)
+		}
+		if len(layers) == 0 {
+			next, err = Empty(ix.dim, opt)
+		} else {
+			next, err = FromLayers(layers, opt)
+		}
+		if err == nil && cc.Len() != len(next.posOf) {
+			err = fmt.Errorf("compactor holds %d records, fold produced %d", cc.Len(), len(next.posOf))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: clustered compact: %w", err)
+		}
+	} else {
+		// Sorting by ID makes the peel a function of the record set
+		// alone, whatever the base's storage order.
+		recs := ix.Records()
+		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+		if len(recs) == 0 {
+			next, err = Empty(ix.dim, opt)
+		} else {
+			next, err = Build(recs, opt)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: compact: %w", err)
 		}
 	}
-	if len(d.recs) > 0 {
-		if err := ix.InsertBatch(d.recs); err != nil {
-			return fmt.Errorf("core: compact insert: %w", err)
-		}
-	}
-	ix.BuildSlabs()
-	return nil
-}
-
-// CompactedClone returns a deep clone with the delta folded into the
-// layered base — the index a background compactor publishes, and the
-// one a checkpoint persists (the on-disk layer format cannot represent
-// a delta). The receiver is untouched.
-func (ix *Index) CompactedClone() (*Index, error) {
-	if ix.cc != nil && ix.delta != nil {
-		// Hierarchical path: skip the O(n) deep Clone — the fold never
-		// mutates the shared base arrays, it replaces them — so the
-		// clone is O(delta) and the fold cost is bounded by the
-		// affected clusters.
-		cp := ix.cloneForFold()
-		if err := cp.compactClustered(); err != nil {
-			return nil, err
-		}
-		return cp, nil
-	}
-	cp := ix.Clone()
-	if err := cp.Compact(); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	next.joggled = next.joggled || ix.joggled
+	next.noPrune = ix.noPrune
+	next.noShells = ix.noShells
+	next.cc = cc
+	return next, nil
 }
 
 // rankDelta scores every delta record against weights and returns them

@@ -255,9 +255,10 @@ func TestDeltaTombstoneBound(t *testing.T) {
 	}
 }
 
-// TestDeltaMutatorGuards pins the ownership discipline: structural
+// TestDeltaMutatorGuards pins the ownership discipline: single-record
 // cascades refuse while a delta is pending and refuse outright on
-// shallow clones, which share base arrays with published snapshots.
+// shallow clones, which share base arrays with published snapshots. A
+// fold never writes the base arrays, so it runs on either.
 func TestDeltaMutatorGuards(t *testing.T) {
 	ix, err := Build(mkRecords(workload.Points(workload.Uniform, 50, 2, 7)), Options{})
 	if err != nil {
@@ -273,12 +274,16 @@ func TestDeltaMutatorGuards(t *testing.T) {
 	if err := sh.InsertDelta([]Record{{ID: 999, Vector: []float64{0.1, 0.2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Compact(); err == nil {
-		t.Fatal("Compact on a shallow clone must refuse")
-	}
 	deep := sh.Clone()
 	if err := deep.Insert(Record{ID: 1000, Vector: []float64{0, 0}}); err == nil {
 		t.Fatal("Insert with a pending delta must refuse")
+	}
+	originFP := ix.Fingerprint()
+	if err := sh.Compact(); err != nil {
+		t.Fatalf("Compact on a shallow clone: %v", err)
+	}
+	if ix.Fingerprint() != originFP {
+		t.Fatal("folding a shallow clone changed its origin")
 	}
 	if err := deep.Compact(); err != nil {
 		t.Fatalf("Compact on a deep clone: %v", err)

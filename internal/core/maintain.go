@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/hull"
 )
@@ -16,11 +15,13 @@ import (
 // recompute the hull, keep its vertices, and carry the rest deeper.
 //
 // As the paper notes, maintenance is far more expensive than querying
-// (each step is a hull construction); batch maintenance is advisable in
-// practice and is provided by InsertBatch.
+// (each step is a hull construction), so batches are not cascaded: a
+// batch goes through the delta buffer and a fold re-peels the live
+// record set (delta.go). The cascade serves single records only, the
+// one case where it is cheaper than a fresh peel.
 
-// computeHull is the hull constructor used by construction and every
-// maintenance cascade. A package variable so tests can inject hull
+// computeHull is the hull constructor used by construction, folds and
+// every maintenance cascade. A package variable so tests can inject hull
 // failures and exercise the rollback paths; production code never
 // reassigns it.
 var computeHull = hull.Compute
@@ -65,61 +66,6 @@ func (ix *Index) Insert(rec Record) error {
 	return nil
 }
 
-// InsertBatch adds many records with one cascade per affected outer
-// layer group. It currently locates each record individually but shares
-// the cascade, which dominates; for bulk loads prefer rebuilding.
-func (ix *Index) InsertBatch(recs []Record) error {
-	if err := ix.mutable(); err != nil {
-		return err
-	}
-	ix.materializePosOf()
-	ix.materializeRecs()
-	// Records must be grouped by target layer so one cascade handles all
-	// of them; locating first, before any mutation, keeps the search
-	// consistent.
-	group := make(map[int][]Record)
-	seen := make(map[uint64]bool, len(recs))
-	minK := -1
-	for _, r := range recs {
-		if len(r.Vector) != ix.dim {
-			return fmt.Errorf("core: insert dimension %d, want %d", len(r.Vector), ix.dim)
-		}
-		// Check against the index AND the batch itself: two records
-		// sharing an ID within one batch would otherwise both alloc, and
-		// the posOf overwrite would leave an undeletable ghost.
-		if _, dup := ix.posOf[r.ID]; dup || seen[r.ID] {
-			return fmt.Errorf("%w: %d", ErrDuplicateID, r.ID)
-		}
-		seen[r.ID] = true
-		k, err := ix.locateLayer(r.Vector)
-		if err != nil {
-			return err
-		}
-		group[k] = append(group[k], r)
-		if minK < 0 || k < minK {
-			minK = k
-		}
-	}
-	if minK < 0 {
-		return nil
-	}
-	// One cascade from the outermost affected layer carrying every new
-	// record placed at or below it is correct: the cascade re-peels all
-	// deeper layers anyway.
-	var carry []int
-	ks := make([]int, 0, len(group))
-	for k := range group {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		for _, r := range group[k] {
-			carry = append(carry, ix.alloc(r))
-		}
-	}
-	return ix.cascade(minK, carry)
-}
-
 // Delete removes the record with the given ID and repairs the layering
 // with the deletion cascade.
 func (ix *Index) Delete(id uint64) error {
@@ -147,113 +93,6 @@ func (ix *Index) Delete(id uint64) error {
 	copy(rest, ix.layers[k+1:])
 	ix.layers = ix.layers[:k]
 	return ix.resolve(carry, rest)
-}
-
-// DeleteBatch removes several records with one cascade from the
-// outermost affected layer — the batch maintenance the paper recommends
-// over per-record cascades. Unknown IDs fail the whole batch before any
-// mutation.
-func (ix *Index) DeleteBatch(ids []uint64) error {
-	if err := ix.mutable(); err != nil {
-		return err
-	}
-	ix.materializePosOf()
-	ix.materializeRecs()
-	if len(ids) == 0 {
-		return nil
-	}
-	victims := make(map[int]bool, len(ids))
-	minK := -1
-	for _, id := range ids {
-		pos, ok := ix.posOf[id]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrNotFound, id)
-		}
-		if victims[pos] {
-			return fmt.Errorf("core: duplicate ID %d in batch", id)
-		}
-		victims[pos] = true
-		if k := ix.layerOf[pos]; minK < 0 || k < minK {
-			minK = k
-		}
-	}
-	// deepest original depth holding a victim: the cascade may only
-	// reattach untouched inner layers once it has peeled past it AND the
-	// last consumed layer was intact — removing a vertex from layer j
-	// can expose layer j+1 points, so a victim layer never justifies an
-	// early stop even if the carry empties there.
-	deepest := minK
-	for pos := range victims {
-		if k := ix.layerOf[pos]; k > deepest {
-			deepest = k
-		}
-	}
-	for _, id := range ids {
-		pos := ix.posOf[id]
-		ix.unalloc(id, pos)
-	}
-	rest := make([][]int, len(ix.layers)-minK)
-	copy(rest, ix.layers[minK:])
-	ix.layers = ix.layers[:minK]
-
-	// The cascade generalizes the paper's single-record rule: removing a
-	// vertex from layer j can expose points of layer j+1, so a pool
-	// that absorbed a victim layer must also absorb the layer after it
-	// before its hull may be emitted — recursively, until the last
-	// absorbed layer is intact. Once a pool ending in an intact layer
-	// empties the carry and no victims remain deeper, the untouched
-	// suffix reattaches unchanged.
-	var carry []int
-	i := 0
-	for i < len(rest) {
-		pool := append([]int(nil), carry...)
-		lastHadVictims := false
-		for {
-			lastHadVictims = false
-			for _, p := range rest[i] {
-				if victims[p] {
-					lastHadVictims = true
-				} else {
-					pool = append(pool, p)
-				}
-			}
-			i++
-			if !lastHadVictims || i >= len(rest) {
-				break
-			}
-		}
-		if len(pool) == 0 {
-			carry = nil
-			continue
-		}
-		h, err := computeHull(ix.pts, pool, ix.hullOpts())
-		if err != nil {
-			return fmt.Errorf("core: batch delete hull: %w", err)
-		}
-		if h.Joggled() {
-			ix.joggled = true
-		}
-		ix.appendLayer(h.Vertices)
-		inVerts := make(map[int]bool, len(h.Vertices))
-		for _, v := range h.Vertices {
-			inVerts[v] = true
-		}
-		next := pool[:0]
-		for _, p := range pool {
-			if !inVerts[p] {
-				next = append(next, p)
-			}
-		}
-		carry = next
-		if len(carry) == 0 && !lastHadVictims && minK+i > deepest {
-			for _, l := range rest[i:] {
-				ix.appendLayer(l)
-			}
-			return nil
-		}
-	}
-	// Leftovers past the innermost layer peel into fresh layers.
-	return ix.resolve(carry, nil)
 }
 
 // Update replaces the vector of an existing record (delete + insert, as

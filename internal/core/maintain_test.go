@@ -318,30 +318,29 @@ func TestInsertBatch(t *testing.T) {
 	for i, p := range newPts {
 		batch[i] = Record{ID: uint64(5000 + i), Vector: p}
 	}
-	if err := ix.InsertBatch(batch); err != nil {
+	if err := insertFold(ix, batch); err != nil {
 		t.Fatal(err)
 	}
 	checkLayerInvariant(t, ix, 240)
 	checkQueriesMatchOracle(t, ix)
 
 	// Errors must leave the index unmodified.
-	if err := ix.InsertBatch([]Record{{ID: 5000, Vector: []float64{0, 0}}}); err == nil {
+	if err := insertFold(ix, []Record{{ID: 5000, Vector: []float64{0, 0}}}); err == nil {
 		t.Error("batch with duplicate ID accepted")
 	}
-	if err := ix.InsertBatch([]Record{{ID: 6000, Vector: []float64{0}}}); err == nil {
+	if err := insertFold(ix, []Record{{ID: 6000, Vector: []float64{0}}}); err == nil {
 		t.Error("batch with bad dimension accepted")
 	}
 	// A duplicate within the batch itself must be rejected before any
-	// alloc: accepting it would double-allocate the ID, surface it twice
-	// in rankings, and leave one copy as an undeletable ghost.
-	if err := ix.InsertBatch([]Record{
+	// change: accepting it would surface the ID twice in rankings.
+	if err := insertFold(ix, []Record{
 		{ID: 7000, Vector: []float64{1, 1}},
 		{ID: 7000, Vector: []float64{2, 2}},
 	}); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("intra-batch duplicate: err = %v, want ErrDuplicateID", err)
 	}
-	if _, ok := ix.posOf[7000]; ok {
-		t.Error("rejected intra-batch duplicate still allocated")
+	if ix.HasDelta() {
+		t.Error("rejected batch left a pending delta")
 	}
 	checkLayerInvariant(t, ix, 240)
 	for _, r := range ix.Records() {

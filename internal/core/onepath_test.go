@@ -104,11 +104,11 @@ func TestEveryIndexAnswersThroughSlabs(t *testing.T) {
 			do   func(*Index) error
 		}{
 			{"Insert", func(x *Index) error { return x.Insert(Record{ID: 9001, Vector: []float64{3, 3, 3}}) }},
-			{"InsertBatch", func(x *Index) error {
-				return x.InsertBatch([]Record{{ID: 9002, Vector: []float64{-3, 1, 0}}, {ID: 9003, Vector: []float64{0.1, 0.2, 0.3}}})
+			{"InsertDelta+Compact", func(x *Index) error {
+				return insertFold(x, []Record{{ID: 9002, Vector: []float64{-3, 1, 0}}, {ID: 9003, Vector: []float64{0.1, 0.2, 0.3}}})
 			}},
 			{"Delete", func(x *Index) error { return x.Delete(9001) }},
-			{"DeleteBatch", func(x *Index) error { return x.DeleteBatch([]uint64{1, 2, 3}) }},
+			{"DeleteDelta+Compact", func(x *Index) error { return deleteFold(x, []uint64{1, 2, 3}) }},
 			{"Update", func(x *Index) error { return x.Update(10, []float64{-2, -2, 4}) }},
 			{"SetShellPruning", func(x *Index) error { x.SetShellPruning(!shells); x.SetShellPruning(shells); return nil }},
 		}
@@ -141,21 +141,20 @@ func TestEveryIndexAnswersThroughSlabs(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSlabWalk(t, label("CompactedClone"), cc)
-		deep := dc.Clone()
-		if err := deep.Compact(); err != nil {
+		if err := dc.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		requireSlabWalk(t, label("Compact"), deep)
+		requireSlabWalk(t, label("Compact"), dc)
 
-		// An emptied index grows back through the cascade.
+		// An empty index grows through a fold.
 		em, err := Empty(3, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := em.InsertBatch(mkRecords(pts[:40])); err != nil {
+		if err := insertFold(em, mkRecords(pts[:40])); err != nil {
 			t.Fatal(err)
 		}
-		requireSlabWalk(t, label("Empty+InsertBatch"), em)
+		requireSlabWalk(t, label("Empty+InsertDelta+Compact"), em)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestCloneIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cp.DeleteBatch([]uint64{1, 2, 3, 4, 5}); err != nil {
+	if err := deleteFold(cp, []uint64{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
 

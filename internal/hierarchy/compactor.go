@@ -14,8 +14,8 @@ import (
 // per-cluster Onions applied to the write path. The corpus is
 // partitioned once by k-means; each cluster keeps its own layered hull.
 // Folding a delta buffer re-peels only the clusters that gained or
-// lost records — cost bounded by delta size × cluster size, not corpus
-// size — and emits the global layer partition as per-level unions
+// lost records — cost bounded by the affected clusters' size, not
+// corpus size — and emits the global layer partition as per-level unions
 // (global layer L = concatenation over clusters of each cluster's
 // layer L), which core/clustered.go proves preserves both the
 // optimally-linearly-ordered property and the slab pruning bounds, so
@@ -31,7 +31,7 @@ import (
 // re-attach (Attach) after bulk changes to re-cluster.
 type Compactor struct {
 	dim      int
-	bopt     core.Options // per-cluster build/cascade options
+	bopt     core.Options // per-cluster build options
 	centers  [][]float64
 	children []*core.Index  // one Onion per cluster; nil = empty cluster
 	owner    map[uint64]int // record ID -> cluster
@@ -263,46 +263,27 @@ func (c *Compactor) Fold(inserts []core.Record, deletes []uint64) (core.ClusterC
 	return next, next.unionLayers(), nil
 }
 
-// refoldCluster applies one cluster's deletes and inserts to a private
-// clone of its Onion via the Section 3.4 batch cascades — hull work
-// bounded by the cluster, not the corpus. A cascade failure (hull
-// degeneracy past the joggle fallback) falls back to re-peeling the
-// cluster from scratch, so a fold only fails if a ground-up Build of
-// the cluster's records does. Returns nil for an emptied cluster.
+// refoldCluster re-peels one cluster from scratch: its survivors plus
+// its inserts, sorted by ID, through core.Build — hull work bounded by
+// the cluster, not the corpus. Returns nil for an emptied cluster.
 func refoldCluster(child *core.Index, deletes []uint64, inserts []core.Record, bopt core.Options) (*core.Index, error) {
-	if child == nil {
-		if len(inserts) == 0 {
-			return nil, nil
-		}
-		return core.Build(inserts, bopt)
-	}
-	nc := child.Clone()
-	err := nc.DeleteBatch(deletes)
-	if err == nil && len(inserts) > 0 {
-		err = nc.InsertBatch(inserts)
-	}
-	if err == nil {
-		if nc.Len() == 0 {
-			return nil, nil
-		}
-		nc.BuildSlabs()
-		return nc, nil
-	}
-	// Rebuild fallback: survivors plus inserts, peeled from scratch.
 	dead := make(map[uint64]bool, len(deletes))
 	for _, id := range deletes {
 		dead[id] = true
 	}
-	recs := make([]core.Record, 0, child.Len()-len(deletes)+len(inserts))
-	for _, r := range child.Records() {
-		if !dead[r.ID] {
-			recs = append(recs, r)
+	recs := make([]core.Record, 0, len(inserts))
+	if child != nil {
+		for _, r := range child.Records() {
+			if !dead[r.ID] {
+				recs = append(recs, r)
+			}
 		}
 	}
 	recs = append(recs, inserts...)
 	if len(recs) == 0 {
 		return nil, nil
 	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	return core.Build(recs, bopt)
 }
 

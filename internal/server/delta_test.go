@@ -56,10 +56,10 @@ func bruteRanking(recs []core.Record, w []float64, n int) []core.Result {
 
 // TestDeltaMatchesLegacyServing drives one mutation script through a
 // server on the delta write path and, in lockstep, through a private
-// core.Index twin re-layered by the paper's Section 3.4 cascades
-// (InsertBatch/DeleteBatch). Every served answer must be bit-identical
-// to the twin's and to a brute-force ranking of the twin's records:
-// publish mechanics must be invisible to results.
+// core.Index twin re-layered after every batch (twinApply: the batch
+// through the twin's delta buffer, then a fold). Every served answer
+// must be bit-identical to the twin's and to a brute-force ranking of
+// the twin's records: publish mechanics must be invisible to results.
 func TestDeltaMatchesLegacyServing(t *testing.T) {
 	const n, d = 300, 3
 	// A huge threshold keeps every mutation in the delta buffer for the
@@ -71,6 +71,15 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 		s.Close(ctx)
 	})
 	twin := buildIndex(t, n, d, 77)
+	twinApply := func(ins []core.Record, del []uint64) error {
+		if err := twin.InsertDelta(ins); err != nil {
+			return err
+		}
+		if _, err := twin.DeleteDelta(del, false); err != nil {
+			return err
+		}
+		return twin.Compact()
+	}
 
 	ctx := context.Background()
 	extra := workload.Points(workload.Uniform, 60, d, 99)
@@ -89,7 +98,7 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 					t.Fatalf("step %d: twin topn: %v", i, err)
 				}
 				if !sameRanking(dr, lr) {
-					t.Fatalf("step %d: weight %d n=%d: delta path diverges from the cascaded twin", i, wi, nn)
+					t.Fatalf("step %d: weight %d n=%d: delta path diverges from the folded twin", i, wi, nn)
 				}
 				if !sameRanking(dr, bruteRanking(recs, w, nn)) {
 					t.Fatalf("step %d: weight %d n=%d: delta path diverges from brute force", i, wi, nn)
@@ -107,7 +116,7 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 			if err := s.Insert(ctx, recs); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			if err := twin.InsertBatch(recs); err != nil {
+			if err := twinApply(recs, nil); err != nil {
 				t.Fatalf("step %d: twin: %v", i, err)
 			}
 		case 2: // delete a seed record still present
@@ -115,7 +124,7 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 			if err := s.Delete(ctx, []uint64{id}); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			if err := twin.DeleteBatch([]uint64{id}); err != nil {
+			if err := twinApply(nil, []uint64{id}); err != nil {
 				t.Fatalf("step %d: twin: %v", i, err)
 			}
 		case 3: // missing-ok delete mixing present and absent IDs
@@ -123,7 +132,7 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 			if err != nil || got != 1 {
 				t.Fatalf("step %d: DeleteIfPresent = %d, %v; want 1, nil", i, got, err)
 			}
-			if err := twin.DeleteBatch([]uint64{uint64(3*i + 2)}); err != nil {
+			if err := twinApply(nil, []uint64{uint64(3*i + 2)}); err != nil {
 				t.Fatalf("step %d: twin: %v", i, err)
 			}
 		}

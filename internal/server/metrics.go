@@ -41,7 +41,7 @@ type metrics struct {
 	walCommits       expvar.Int // batches durably logged before publish
 	walCommitErrors  expvar.Int // batches failed (and unpublished) by the WAL
 	compactions      expvar.Int // background delta folds published
-	compactionErrors expvar.Int // folds abandoned (cascade or replay failure)
+	compactionErrors expvar.Int // folds abandoned (peel or replay failure)
 
 	// predictedPageReads accumulates the paper's Eq. 2 analytic I/O cost
 	// over served queries: DefaultRandomWeight per layer accessed plus

@@ -8,7 +8,7 @@
 //
 // The core index is mutable but not safe for concurrent query +
 // maintenance use. Rather than wrap it in locks — which would stall
-// every query behind each hull-rebuilding cascade — the server keeps
+// every query behind each hull rebuild — the server keeps
 // the current index behind an atomic.Pointer. Queries load the pointer
 // once and run entirely against that immutable snapshot; they never
 // block and never observe a partially applied change. All mutations
@@ -22,9 +22,10 @@
 // merges the delta into the layered walk on the total order, so
 // answers are bit-identical to a rebuilt index. Past
 // Config.DeltaThreshold pending records a background compaction folds
-// the delta into the layers with the paper's Section 3.4 cascades, off
-// the publish path; the fold is the only place this package re-layers
-// records.
+// the delta into the layers by re-peeling the live records (the
+// paper's Section 3.1 construction, per cluster with a hierarchical
+// compactor), off the publish path; the fold is the only place this
+// package re-layers records.
 package server
 
 import (

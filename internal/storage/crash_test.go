@@ -184,7 +184,10 @@ func TestDiskIndexEdgeCases(t *testing.T) {
 		for _, r := range ix.Records() {
 			ids = append(ids, r.ID)
 		}
-		if err := ix.DeleteBatch(ids); err != nil {
+		if _, err := ix.DeleteDelta(ids, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		data, err := Marshal(ix)

@@ -24,16 +24,16 @@ func buildShellIndex(t testing.TB, n, d int, seed int64) *core.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.DeleteBatch([]uint64{2, uint64(n / 2), uint64(n - 1)}); err != nil {
-		t.Fatal(err)
+	for _, id := range []uint64{2, uint64(n / 2), uint64(n - 1)} {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	extra := workload.Points(workload.Gaussian, 7, d, seed+1)
-	add := make([]core.Record, len(extra))
 	for i, p := range extra {
-		add[i] = core.Record{ID: uint64(n + 1 + i), Vector: p}
-	}
-	if err := ix.InsertBatch(add); err != nil {
-		t.Fatal(err)
+		if err := ix.Insert(core.Record{ID: uint64(n + 1 + i), Vector: p}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ix.BuildSlabs()
 	return ix

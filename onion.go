@@ -81,13 +81,13 @@ type Options struct {
 	Parallelism int
 	// HierarchicalCompaction attaches a per-cluster compactor (the
 	// paper's Section 4 hierarchy applied to the write path) after the
-	// build: the corpus is partitioned by k-means and every Compact /
-	// CompactedClone re-peels only the clusters whose membership
-	// changed, so fold cost is bounded by delta and cluster size
-	// instead of corpus size. Query answers are bit-identical either
-	// way. Legacy structural maintenance (Insert/Delete/Update and the
-	// batch cascades) detaches the compactor; it is an acceleration
-	// structure, never load-bearing for correctness.
+	// build: the corpus is partitioned by k-means, and InsertBatch /
+	// DeleteBatch re-peel only the clusters whose membership changed
+	// instead of the whole index — one peel of the affected clusters
+	// per batch, whatever the batch size. Query answers are
+	// bit-identical either way. The single-record cascades
+	// (Insert/Delete/Update) detach the compactor; it is an
+	// acceleration structure, never load-bearing for correctness.
 	HierarchicalCompaction bool
 	// CompactionClusters overrides the k-means cluster count used by
 	// HierarchicalCompaction (0 = a heuristic targeting ~4096 records
@@ -304,10 +304,14 @@ func (x *Index) Insert(rec Record) error {
 	return x.ix.Insert(rec)
 }
 
-// InsertBatch adds several records with a single cascade.
+// InsertBatch adds several records and re-layers once: the batch
+// joins a private clone's delta buffer and Compact folds it, which
+// costs one peel of the whole index — or, with hierarchical compaction
+// attached, of the clusters the batch touches — whatever the batch
+// size. A dimension mismatch or duplicate ID fails the whole batch
+// before any change, and a failed fold leaves the index as it was.
 func (x *Index) InsertBatch(recs []Record) error {
-	x.cache.Invalidate()
-	return x.ix.InsertBatch(recs)
+	return x.fold(func(ix *core.Index) error { return ix.InsertDelta(recs) })
 }
 
 // Delete removes the record with the given ID, promoting inner records
@@ -317,12 +321,30 @@ func (x *Index) Delete(id uint64) error {
 	return x.ix.Delete(id)
 }
 
-// DeleteBatch removes several records with a single cascade — the
-// batch maintenance the paper recommends for bulk changes. Unknown or
-// duplicated IDs fail the whole batch before any mutation.
+// DeleteBatch removes several records and re-layers once, at the cost
+// InsertBatch states. Unknown or duplicated IDs fail the whole batch
+// before any change.
 func (x *Index) DeleteBatch(ids []uint64) error {
+	return x.fold(func(ix *core.Index) error {
+		_, err := ix.DeleteDelta(ids, false)
+		return err
+	})
+}
+
+// fold applies a batch to a private clone through the delta buffer,
+// folds it, and swaps the clone in only on success. The fold keeps an
+// attached hierarchical compactor.
+func (x *Index) fold(apply func(*core.Index) error) error {
 	x.cache.Invalidate()
-	return x.ix.DeleteBatch(ids)
+	cp := x.ix.Clone()
+	if err := apply(cp); err != nil {
+		return err
+	}
+	if err := cp.Compact(); err != nil {
+		return err
+	}
+	x.ix = cp
+	return nil
 }
 
 // Update replaces a record's attribute vector (delete + insert).
@@ -385,7 +407,8 @@ func (x *Index) EnableHierarchicalCompaction(clusters int) error {
 }
 
 // HierarchicalCompaction reports whether a per-cluster compactor is
-// currently attached (legacy structural maintenance detaches it).
+// currently attached. InsertBatch and DeleteBatch keep it; the
+// single-record Insert, Delete and Update detach it.
 func (x *Index) HierarchicalCompaction() bool { return x.ix.ClusterCompactor() != nil }
 
 // Save writes the index to path in the paged flat-file layout of the

@@ -360,6 +360,58 @@ func TestMaintenanceThroughFacade(t *testing.T) {
 	}
 }
 
+// TestBatchesKeepHierarchicalCompaction: batch maintenance folds
+// through the attached compactor instead of detaching it, answers
+// stay exact on the total order, and a rejected batch changes nothing.
+func TestBatchesKeepHierarchicalCompaction(t *testing.T) {
+	recs, _ := testRecords(workload.Gaussian, 1200, 3, 16)
+	hx, err := Build(recs, Options{HierarchicalCompaction: true, CompactionClusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, _ := testRecords(workload.Uniform, 40, 3, 17)
+	for i := range extra {
+		extra[i].ID += 5000
+	}
+	if err := hx.InsertBatch(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := hx.DeleteBatch([]uint64{1, 2, 300, 5003}); err != nil {
+		t.Fatal(err)
+	}
+	if !hx.HierarchicalCompaction() {
+		t.Fatal("a batch detached the hierarchical compactor")
+	}
+	if err := hx.DeleteBatch([]uint64{4, 99999}); err == nil {
+		t.Fatal("batch with an unknown ID accepted")
+	}
+	if hx.Len() != 1200+40-4 {
+		t.Fatalf("len = %d", hx.Len())
+	}
+	live := hx.Records()
+	for _, w := range [][]float64{{1, 1, 1}, {0.6, -0.2, 0.4}, {-1, 0.3, 0}} {
+		got, err := hx.TopN(w, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Result, len(live))
+		for i, r := range live {
+			want[i] = Result{ID: r.ID, Score: geom.Dot(w, r.Vector)}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Score != want[b].Score {
+				return want[a].Score > want[b].Score
+			}
+			return want[a].ID < want[b].ID
+		})
+		for i := range got {
+			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+				t.Fatalf("rank %d: (%d, %v), brute force (%d, %v)", i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			}
+		}
+	}
+}
+
 func TestHierarchicalCompactionFacade(t *testing.T) {
 	recs, pts := testRecords(workload.Gaussian, 1500, 3, 6)
 	hx, err := Build(recs, Options{HierarchicalCompaction: true, CompactionClusters: 4})
@@ -398,12 +450,12 @@ func TestHierarchicalCompactionFacade(t *testing.T) {
 			}
 		}
 	}
-	// Legacy structural maintenance detaches the accelerator...
+	// A single-record cascade detaches the accelerator...
 	if err := hx.Insert(Record{ID: 9001, Vector: []float64{3, 3, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if hx.HierarchicalCompaction() {
-		t.Fatal("compactor survived a legacy Insert")
+		t.Fatal("compactor survived a single-record Insert")
 	}
 	// ...and EnableHierarchicalCompaction restores it after the fact.
 	if err := hx.EnableHierarchicalCompaction(3); err != nil {

@@ -96,8 +96,8 @@ go run ./cmd/onionbench -build-scaling -n 8000 -build-workers 1,4 -build-out "$s
 # Query-path equivalence smoke: a small -query-scaling sweep checks
 # every pruning mode of the one slab walk — unpruned, layer-pruned and
 # shells — solo and through TopNBatch, against a brute-force scan for
-# every query (score bits, order) and against each other bitwise (IDs,
-# score bits, layers) at worker counts 1 and 4. Any divergence exits
+# every query (IDs, score bits, order) and against each other bitwise
+# (plus layers) at worker counts 1 and 4. Any divergence exits
 # non-zero. The committed BENCH_query.json is the full-size
 # (100k-point) run of the same gate.
 echo "== query path equivalence smoke (onionbench -query-scaling)"
@@ -147,10 +147,12 @@ rm -f "$mixed_out"
 # twin and gates every publish (pre- and post-fold) on bit-identical
 # rankings versus both the flat twin and a brute-force total order,
 # plus content-fingerprint equality. Exits non-zero on any divergence.
-# The committed BENCH_compact.json is the full multi-size sweep.
+# Delta 4096 is the server's default fold threshold, so both fold
+# paths are gated at the size a server really folds. The committed
+# BENCH_compact.json is the full multi-size sweep.
 echo "== hierarchical compaction equivalence smoke (onionbench -compaction-scaling)"
 compact_out="$(mktemp)"
-go run ./cmd/onionbench -compaction-scaling -n 10000 -compaction-deltas 64,512 -compaction-rounds 1 -compaction-out "$compact_out"
+go run ./cmd/onionbench -compaction-scaling -n 10000 -compaction-deltas 64,512,4096 -compaction-rounds 1 -compaction-out "$compact_out"
 rm -f "$compact_out"
 
 # Mmap cold-start smoke: a 10k-point -coldstart run gates mmap ≡ heap ≡
