@@ -31,9 +31,16 @@ import (
 // with each other bitwise (layers included). Shells are additionally
 // checked with an active delta buffer — insert-only (shell tables
 // live) and with tombstones (the shell path must stand down for
-// deadMax) — so the §6 structure composes with the LSM write path. Any mismatch exits non-zero —
+// the tombstone-inclusive layer maximum) — so the §6 structure composes with the LSM write path. Any mismatch exits non-zero —
 // scripts/ci.sh runs a small sweep as a regression gate on exactly
 // this property.
+//
+// The delta-merge leg then times the shipped walk (columnar+prune, one
+// worker) over a CloneDelta of the largest 3D and 4D corpora carrying
+// 0, 256 and 1600 pending records, two delta inserts to every
+// tombstone — the backlog shape of a server between folds. Each delta
+// shape passes the same brute-force gate, solo and batched, before it
+// is timed.
 //
 // The summary lands in -query-out (BENCH_query.json) next to
 // BENCH_build.json and BENCH_server.json. The headline block is the
@@ -49,6 +56,7 @@ type queryScalingRun struct {
 	TopN              int     `json:"topn"`
 	Mode              string  `json:"mode"`
 	Workers           int     `json:"workers"`
+	Delta             int     `json:"delta,omitempty"` // delta-merge leg: pending records, 2:1 inserts:tombstones
 	NsPerQuery        float64 `json:"ns_per_query"`
 	QueriesPerSec     float64 `json:"queries_per_sec"`
 	RecordsEvaluated  float64 `json:"records_evaluated_avg"`
@@ -200,6 +208,14 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 				}
 			}
 		}
+		if spec.n == n && spec.dim >= 3 {
+			runs, err := deltaLeg(ix, recs, ws, topNs)
+			if err != nil {
+				summary.IdenticalOutput = false
+				fatal(fmt.Errorf("%dD n=%d: %w", spec.dim, spec.n, err))
+			}
+			summary.Runs = append(summary.Runs, runs...)
+		}
 		fmt.Println()
 	}
 
@@ -232,6 +248,88 @@ var queryModes = []queryMode{
 	{"columnar", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneNothing) }},
 	{"columnar+prune", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneAll) }},
 	{"shells", func(ix *core.Index) { ix.SetShellPruning(true); ix.SetPruningMode(core.PruneAll) }},
+}
+
+// deltaSizes are the pending-record counts of the delta-merge leg: none,
+// a light backlog, and the ~1.6k a server accumulates at 150 writes/s
+// between folds.
+var deltaSizes = []int{0, 256, 1600}
+
+// deltaLeg times the shipped walk (columnar+prune, one worker) over
+// shallow clones of ix carrying each of deltaSizes pending records,
+// two delta inserts to every tombstone, after gating every shape on
+// the brute-force oracle of the merged record set.
+func deltaLeg(ix *core.Index, recs []core.Record, ws [][]float64, topNs []int) ([]queryScalingRun, error) {
+	dim := len(recs[0].Vector)
+	fmt.Printf("  delta merge (columnar+prune, 1 worker), inserts:tombstones 2:1\n")
+	fmt.Printf("  %5s %8s | %12s | %10s\n", "topn", "delta", "ns/query", "records")
+	var runs []queryScalingRun
+	for _, size := range deltaSizes {
+		dc, merged, err := withDelta(ix, recs, size-size/3, size/3, *seedFlag+int64(505+dim))
+		if err != nil {
+			return nil, fmt.Errorf("delta %d: %w", size, err)
+		}
+		dc.SetShellPruning(false)
+		dc.SetPruningMode(core.PruneAll)
+		dc.SetParallelism(1)
+		for _, topn := range topNs {
+			if err := checkPaths(dc, ws, topn, bruteTopNs(merged, ws, topn)); err != nil {
+				return nil, fmt.Errorf("delta %d top-%d: %w", size, topn, err)
+			}
+		}
+		for _, topn := range topNs {
+			ns, rec, pruned, _ := measureSolo(dc, ws, topn)
+			runs = append(runs, queryScalingRun{
+				Dim: dim, N: len(recs), Layers: dc.NumLayers(),
+				TopN: topn, Mode: "delta-merge", Workers: 1, Delta: size,
+				NsPerQuery:       ns,
+				QueriesPerSec:    1e9 / ns,
+				RecordsEvaluated: rec,
+				LayersPruned:     pruned,
+			})
+			fmt.Printf("  %5d %8d | %12.0f | %10.1f\n", topn, size, ns, rec)
+		}
+	}
+	return runs, nil
+}
+
+// withDelta returns a shallow clone of ix with ins fresh Gaussian
+// records inserted and del base records tombstoned through the delta
+// buffer, together with the merged live record set the oracle ranks.
+// Tombstones are spread evenly over recs.
+func withDelta(ix *core.Index, recs []core.Record, ins, del int, seed int64) (*core.Index, []core.Record, error) {
+	dim := len(recs[0].Vector)
+	dc := ix.CloneDelta()
+	if ins > 0 {
+		pts := workload.Points(workload.Gaussian, ins, dim, seed)
+		extra := make([]core.Record, ins)
+		for i, p := range pts {
+			extra[i] = core.Record{ID: uint64(len(recs) + 1 + i), Vector: p}
+		}
+		if err := dc.InsertDelta(extra); err != nil {
+			return nil, nil, err
+		}
+		recs = append(recs[:len(recs):len(recs)], extra...)
+	}
+	dead := make(map[uint64]bool, del)
+	var dels []uint64
+	for i := 0; i < del; i++ {
+		id := recs[i*(len(recs)-ins)/del].ID
+		dels = append(dels, id)
+		dead[id] = true
+	}
+	if len(dels) > 0 {
+		if _, err := dc.DeleteDelta(dels, false); err != nil {
+			return nil, nil, err
+		}
+	}
+	merged := make([]core.Record, 0, len(recs)-del)
+	for _, r := range recs {
+		if !dead[r.ID] {
+			merged = append(merged, r)
+		}
+	}
+	return dc, merged, nil
 }
 
 // pickHeadline selects the acceptance configuration: the largest 4D
@@ -328,45 +426,19 @@ func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, t
 // brute-force scan of the merged record set. Two delta shapes are
 // exercised — insert-only (shell tables stay live alongside the merge
 // stream) and mixed inserts + tombstones (the shell path must stand
-// down so deadMax still covers every base record).
+// down so the layer maximum still covers every base record).
 func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int) error {
-	dim := len(recs[0].Vector)
-	extraPts := workload.Points(workload.Gaussian, 48, dim, *seedFlag+303)
-	extra := make([]core.Record, len(extraPts))
-	for i, p := range extraPts {
-		extra[i] = core.Record{ID: uint64(len(recs) + 1 + i), Vector: p}
-	}
-	var dels []uint64
-	for i := 0; i < len(recs) && len(dels) < 16; i += 1 + len(recs)/17 {
-		dels = append(dels, recs[i].ID)
-	}
 	for _, shape := range []struct {
-		name string
-		dels []uint64
+		name     string
+		ins, del int
 	}{
-		{"insert-only", nil},
-		{"mixed", dels},
+		{"insert-only", 48, 0},
+		{"mixed", 48, 16},
 	} {
-		dc := ix.CloneDelta()
-		if err := dc.InsertDelta(extra); err != nil {
+		dc, merged, err := withDelta(ix, recs, shape.ins, shape.del, *seedFlag+303)
+		if err != nil {
 			return fmt.Errorf("delta %s: %w", shape.name, err)
 		}
-		if len(shape.dels) > 0 {
-			if _, err := dc.DeleteDelta(shape.dels, false); err != nil {
-				return fmt.Errorf("delta %s: %w", shape.name, err)
-			}
-		}
-		dead := make(map[uint64]bool, len(shape.dels))
-		for _, id := range shape.dels {
-			dead[id] = true
-		}
-		merged := make([]core.Record, 0, len(recs)+len(extra))
-		for _, r := range recs {
-			if !dead[r.ID] {
-				merged = append(merged, r)
-			}
-		}
-		merged = append(merged, extra...)
 		want := bruteTopNs(merged, ws, topn)
 		for _, shells := range []bool{false, true} {
 			dc.SetShellPruning(shells)

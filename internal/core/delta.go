@@ -353,24 +353,89 @@ func (ix *Index) folded() (*Index, error) {
 	return next, nil
 }
 
-// rankDelta scores every delta record against weights and returns them
-// in the index's total order (score descending, ID ascending) with
-// Layer = -1: the merge stream NewSearcherChecked weaves into the base
-// walk. The dot product accumulates over j in index order, exactly
-// like the layer kernels, so merged scores are bit-identical to the
-// ones a rebuilt index would compute.
-func (ix *Index) rankDelta(weights []float64) []Result {
-	d := ix.delta
-	out := make([]Result, len(d.recs))
-	for i, r := range d.recs {
-		var s float64
-		for j, wj := range weights {
-			s += wj * r.Vector[j]
-		}
-		out[i] = Result{ID: r.ID, Score: s, Layer: -1}
+// rankDelta scores every pending delta record against the query and
+// leaves in s.deltaRank, in the index's total order (score descending,
+// ID ascending, Layer = -1), exactly the ones the query can still
+// deliver: the delta's own top-limit, or all of them for an unbounded
+// stream. This is the merge stream Next weaves into the base walk. A
+// delta record outside the delta's top-limit is outranked by limit
+// other delta records, so the merged top-limit cannot contain it.
+//
+// The buffer is a min-heap whose root is the weakest kept record, so
+// once it holds limit records a new one costs one comparison against
+// the root — the common case for a top-10 over a delta of hundreds —
+// and only a record that beats the root is sifted in. A heapsort then
+// puts the survivors in delivery order. Every record is scored, so
+// Stats.RecordsEvaluated counts the whole delta, exactly like a layer.
+// The dot product accumulates over j in index order, exactly like the
+// layer kernels, so merged scores are bit-identical to the ones a
+// rebuilt index would compute. The buffer is reused across calls.
+func (s *Searcher) rankDelta() {
+	recs := s.ix.delta.recs
+	keep := len(recs)
+	if s.remain > 0 && s.remain < keep {
+		keep = s.remain
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return topk.ResultGreater(out[a].Score, out[a].ID, out[b].Score, out[b].ID)
-	})
-	return out
+	h := s.deltaRank[:0]
+	for _, r := range recs {
+		var sc float64
+		for j, wj := range s.weights {
+			sc += wj * r.Vector[j]
+		}
+		if len(h) < keep {
+			h = append(h, Result{ID: r.ID, Score: sc, Layer: -1})
+			siftUpResults(h, len(h)-1)
+			continue
+		}
+		if !topk.ResultGreater(sc, r.ID, h[0].Score, h[0].ID) {
+			continue
+		}
+		h[0] = Result{ID: r.ID, Score: sc, Layer: -1}
+		siftDownResults(h, 0)
+	}
+	// Heapsort: the weakest record repeatedly swaps to the shrinking
+	// tail, leaving the buffer in descending total order.
+	for i := len(h) - 1; i > 0; i-- {
+		h[0], h[i] = h[i], h[0]
+		siftDownResults(h[:i], 0)
+	}
+	s.deltaRank = h
+	s.deltaPos = 0
+	s.stats.RecordsEvaluated += len(recs)
+}
+
+// resultWeaker orders the delta buffer's min-heap: a is weaker than b
+// when b ranks strictly before it on the total order.
+func resultWeaker(a, b Result) bool {
+	return topk.ResultGreater(b.Score, b.ID, a.Score, a.ID)
+}
+
+func siftUpResults(h []Result, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !resultWeaker(h[i], h[p]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDownResults(h []Result, i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && resultWeaker(h[l], h[m]) {
+			m = l
+		}
+		if r < n && resultWeaker(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -49,6 +49,11 @@ var errDim = errors.New("core: weight vector dimension mismatch")
 // so tests can lower it and drive the parallel path on small indexes.
 var scoreParallelMin = 4096
 
+// candidateFloors switches the per-layer candidate floor on (see
+// candidateFloor). Only tests turn it off, to measure the unfloored
+// walk the floor must never exceed in records evaluated.
+var candidateFloors = true
+
 // ErrNonFiniteWeight is returned by queries whose weight vector carries
 // a NaN or ±Inf component. Such weights would otherwise flow straight
 // through the arithmetic: NaN poisons every score and defeats the heap
@@ -130,14 +135,17 @@ type Searcher struct {
 	best     *topk.Bounded // reusable per-layer top-k collector
 	rankBuf  []topk.Item   // reusable sorted-layer scratch
 	shellOrd []shellRef    // reusable shell bucket schedule scratch
+	floorBuf []float64     // reusable candidate-score scratch for the floor
+	floorArr [32]float64   // floorBuf's initial storage: no allocation for small candidate sets
 	stats    Stats
 	trace    func(TraceEvent) // optional step-by-step narration
 	ctx      context.Context  // optional cancellation; nil = never cancelled
 	err      error            // ctx error once observed
 
-	// Delta merge stream (see delta.go): pending unlayered records
-	// pre-scored and sorted on the total order at construction, woven
-	// into the base walk by Next. nil when the index has no delta.
+	// Delta merge stream (see rankDelta): the pending unlayered records
+	// the query can still deliver — the delta's top-limit — scored and
+	// sorted on the total order at construction, woven into the base
+	// walk by Next. nil when the index has no delta.
 	deltaRank []Result
 	deltaPos  int
 }
@@ -185,11 +193,9 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 		limit = -1
 	}
 	s := &Searcher{ix: ix, cols: ix.columns(), weights: w, remain: limit}
+	s.floorBuf = s.floorArr[:0]
 	if ix.delta != nil && len(ix.delta.recs) > 0 {
-		// Brute-force the delta up front: every pending record is scored
-		// exactly once per query, which the stats account like a layer.
-		s.deltaRank = ix.rankDelta(w)
-		s.stats.RecordsEvaluated += len(s.deltaRank)
+		s.rankDelta()
 	}
 	return s, nil
 }
@@ -430,76 +436,110 @@ func (s *Searcher) beginLayer(n int) {
 	s.best.ResetK(keep)
 }
 
-// consumeLayer folds one scored layer into the searcher's state: offers
-// every live record to the collector, then finalizes through
-// finishLayer. pos lists internal positions parallel to scores — the
-// slab's pos array, whose rows shell tables may have bucket-reordered.
+// candidateFloor returns the score below which no record of the layer
+// about to be consumed can reach the answer: the remain-th best score
+// in the candidate set, or -Inf while fewer than remain candidates are
+// held (and always for an unbounded stream). A record scoring strictly
+// below the floor is outranked by at least remain candidates — delta
+// records only add competitors — so it would never be delivered, and
+// the walk drops it with one comparison, before any heap operation or
+// tombstone lookup. A record tied with the floor must still be offered:
+// the position tie-break may rank it above the floor candidate.
+//
+// Dropping such records changes nothing the walk delivers or counts:
+// the candidates it keeps always include the remain best of the
+// unfloored walk's set, which is all that tryPrune's beat count and
+// the final drain ever read. The selection is a quickselect over a
+// scratch copy of the candidate scores, O(|cand|) per layer: a few ns
+// per candidate, against the heap operations it saves per record.
+func (s *Searcher) candidateFloor() float64 {
+	if s.remain <= 0 || s.cand.Len() < s.remain || !candidateFloors {
+		return math.Inf(-1)
+	}
+	items := s.cand.Items()
+	if cap(s.floorBuf) < len(items) {
+		// Past the inline array: one allocation with room for the
+		// candidate set to double.
+		s.floorBuf = make([]float64, 0, 2*len(items))
+	}
+	buf := s.floorBuf[:len(items)]
+	for i, it := range items {
+		buf[i] = it.Score
+	}
+	return topk.KthLargest(buf, s.remain)
+}
+
+// consumeLayer folds one scored layer into the searcher's state and
+// finalizes it through finishLayer. pos lists internal positions
+// parallel to scores — the slab's pos array, whose rows shell tables
+// may have bucket-reordered.
+//
+// Each record first meets one comparison against the cut: the
+// candidate floor, raised to the collector's threshold once the
+// collector is full. A record strictly below the cut can enter neither
+// the answer nor the layer's top-keep (the collector rejects anything
+// below its threshold, ties included only when the ID wins), so it
+// never reaches the heap. Only a record at or above the cut is checked
+// against the tombstones (delta buffer deletes, see delta.go) and then
+// offered. The layer maximum is tracked over every scored record, dead
+// or alive, floored or not: deeper layers nest inside this layer's
+// hull with the tombstoned vertices still on it, so that maximum is
+// the Corollary 1 bound.
 func (s *Searcher) consumeLayer(pos []int, scores []float64) {
 	s.beginLayer(len(pos))
-	// Tombstoned positions (delta buffer deletes, see delta.go) are
-	// excluded from the ranking but NOT from the Corollary 1 bound:
-	// deeper layers nest inside this layer's hull with the tombstoned
-	// vertices still on it, so the finalization bound must be the
-	// maximum over every record of the layer, dead or alive.
 	dead := s.ix.deadPosSet()
-	var deadMax float64
-	haveDead := false
-	if dead == nil {
-		for i, p := range pos {
-			s.best.Offer(topk.Item{ID: p, Score: scores[i]})
+	cut := s.candidateFloor()
+	layerMax, top := math.Inf(-1), -1
+	for i, sc := range scores {
+		if sc > layerMax || top < 0 {
+			layerMax, top = sc, i
 		}
-	} else {
-		for i, p := range pos {
-			if dead[p] {
-				if !haveDead || scores[i] > deadMax {
-					deadMax, haveDead = scores[i], true
-				}
-				continue
+		if sc < cut {
+			continue
+		}
+		p := pos[i]
+		if dead != nil && dead[p] {
+			continue
+		}
+		if s.best.Offer(topk.Item{ID: p, Score: sc}) {
+			if th, full := s.best.Threshold(); full && th > cut {
+				cut = th
 			}
-			s.best.Offer(topk.Item{ID: p, Score: scores[i]})
 		}
 	}
-	s.finishLayer(len(pos), deadMax, haveDead)
+	topPos := -1
+	if top >= 0 {
+		topPos = pos[top]
+	}
+	s.finishLayer(len(pos), layerMax, topPos)
 }
 
 // finishLayer completes the current layer: accounts the work, ranks the
 // collector, finalizes outer candidates and the layer maximum under the
 // Corollary 1 bound, and turns the rest into candidates. evaluated is
 // the number of records actually scored (the whole layer on the plain
-// path; possibly fewer through shells).
-func (s *Searcher) finishLayer(evaluated int, deadMax float64, haveDead bool) {
+// path; possibly fewer through shells). maxT is the layer maximum over
+// every record, dead or alive, kept or floored — or, where shell
+// tables left records unscored, a sound upper bound on it — and so
+// bounds every record of this and deeper layers. topPos is the
+// position of the best scored record, -1 when none was scored.
+func (s *Searcher) finishLayer(evaluated int, maxT float64, topPos int) {
 	ix := s.ix
 	s.stats.LayersAccessed++
 	s.stats.RecordsEvaluated += evaluated
 	s.rankBuf = s.best.DescendingInto(s.rankBuf[:0])
 	t := s.rankBuf
-	// maxT bounds every record of this and deeper layers; emitTop says
-	// whether the live layer maximum itself is final — it is unless a
-	// tombstone strictly beats it, in which case an unseen deeper record
-	// may still outrank it and t[0] must stay a candidate. Without
-	// tombstones this is exactly the unconditional emission.
-	var maxT float64
-	emitTop := false
-	switch {
-	case len(t) > 0 && (!haveDead || t[0].Score >= deadMax):
-		maxT = t[0].Score
-		emitTop = true
-	case len(t) > 0:
-		maxT = deadMax
-	case haveDead:
-		maxT = deadMax
-	default:
-		// Entirely empty layer (cannot happen: construction never emits
-		// one and tombstones leave deadMax set). Finalize nothing.
-		s.k++
-		return
+	// The best kept record is final exactly when it is the layer
+	// maximum. It is not when a tombstone strictly beats it (an unseen
+	// deeper record may still outrank it, so it stays a candidate), and
+	// the collector is empty when every live record fell below the
+	// floor; either way maxT still finalizes outer candidates.
+	emitTop := len(t) > 0 && t[0].Score == maxT
+	ev := TraceEvent{Kind: TraceLayerEvaluated, Layer: s.k, Score: maxT, Evaluated: evaluated}
+	if topPos >= 0 {
+		ev.ID = ix.ids[topPos]
 	}
-	if len(t) > 0 {
-		s.emitTrace(TraceEvent{
-			Kind: TraceLayerEvaluated, Layer: s.k,
-			ID: ix.ids[t[0].ID], Score: t[0].Score, Evaluated: evaluated,
-		})
-	}
+	s.emitTrace(ev)
 
 	// Candidates from outer layers that beat this layer's maximum can be
 	// finalized now: no deeper layer can exceed maxT (Corollary 1). The

@@ -330,39 +330,55 @@ func (s *Searcher) shellSchedule(t *shellTable) []shellRef {
 
 // consumeLayerShells evaluates the searcher's current layer through its
 // shell table: buckets in decreasing bound order, stopping as soon as
-// the layer's top-keep collector is full and the next bound cannot beat
-// its threshold. The kept set — and therefore every emitted result,
-// candidate, and tie — is identical to the full scan's: a skipped
-// record's score is strictly below the collector's final threshold
-// (bound < threshold at skip time, and the threshold only rises), so it
-// could never have displaced a kept record even via the position
-// tie-break; and the layer maximum is never skipped (its bucket's bound
-// is ≥ the layer maximum ≥ any threshold), so the Corollary 1
-// finalization bound maxT is exact.
+// the next bound is strictly below the cut — the candidate floor (see
+// candidateFloor), raised to the collector's threshold once the layer's
+// top-keep collector is full. The delivered results are identical to
+// the full scan's: a skipped record's score is strictly below the cut
+// (bound < cut at skip time, and the cut only rises), so it could
+// neither reach the answer nor displace a kept record, even via the
+// position tie-break. The Corollary 1 bound maxT stays sound: it is the
+// larger of the best scored record and the first skipped bound, which
+// dominates every skipped record. When a record was kept, the layer
+// maximum itself was scored (its bucket's bound is at least the layer
+// maximum, which is at least the cut), so maxT is exact; when none was
+// kept, every record of the layer is below the floor and maxT, exact or
+// not, finalizes the same remain candidates.
 func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 	n := len(sl.pos)
 	s.beginLayer(n)
 	scores := s.ensureScoreBuf(n)
 	ord := s.shellSchedule(t)
+	cut := s.candidateFloor()
+	maxT, topPos := math.Inf(-1), -1
 	evaluated := 0
-	pruneBound := 0.0
 	for _, ref := range ord {
-		if th, full := s.best.Threshold(); full && ref.bound < th {
+		if ref.bound < cut {
 			// Bounds are descending: no later bucket can matter either.
-			pruneBound = ref.bound
+			if ref.bound > maxT {
+				maxT = ref.bound
+			}
+			s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: s.k, Score: ref.bound, Evaluated: n - evaluated})
 			break
 		}
 		b := &t.buckets[ref.bi]
 		s.scoreRows(sl, scores, b.lo, b.hi)
 		for i := b.lo; i < b.hi; i++ {
-			s.best.Offer(topk.Item{ID: sl.pos[i], Score: scores[i]})
+			sc := scores[i]
+			if sc > maxT || topPos < 0 {
+				maxT, topPos = sc, sl.pos[i]
+			}
+			if sc < cut {
+				continue
+			}
+			if s.best.Offer(topk.Item{ID: sl.pos[i], Score: sc}) {
+				if th, full := s.best.Threshold(); full && th > cut {
+					cut = th
+				}
+			}
 		}
 		evaluated += b.hi - b.lo
 	}
-	if skipped := n - evaluated; skipped > 0 {
-		s.stats.RecordsSkippedByShells += skipped
-		s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: s.k, Score: pruneBound, Evaluated: skipped})
-	}
+	s.stats.RecordsSkippedByShells += n - evaluated
 	s.stats.ShellLayers++
-	s.finishLayer(evaluated, 0, false)
+	s.finishLayer(evaluated, maxT, topPos)
 }

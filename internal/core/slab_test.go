@@ -314,42 +314,73 @@ func TestScoreBoundIsSound(t *testing.T) {
 
 // TestWarmSearcherNextZeroAllocs: after a warm-up pass, pulling results
 // from a columnar Searcher must not allocate — the scratch (scoreBuf,
-// per-layer collector, rank buffer, emit) is all reused.
+// per-layer collector, rank buffer, floor scratch, emit, and the delta
+// top-limit buffer) is all reused. Covered with and without a delta
+// carrying inserts and tombstones, at limits 10 and 100.
 func TestWarmSearcherNextZeroAllocs(t *testing.T) {
 	ix := buildRand(t, workload.Gaussian, 4000, 4, 8)
 	ix.SetParallelism(1) // the fork-join path allocates goroutine bookkeeping
+	withDelta := ix.CloneDelta()
+	var ins []Record
+	for i, p := range workload.Points(workload.Gaussian, 300, 4, 9) {
+		ins = append(ins, Record{ID: uint64(100_000 + i), Vector: p})
+	}
+	if err := withDelta.InsertDelta(ins); err != nil {
+		t.Fatal(err)
+	}
+	var dels []uint64
+	for id := uint64(1); id <= 4000; id += 27 {
+		dels = append(dels, id)
+	}
+	if _, err := withDelta.DeleteDelta(dels, false); err != nil {
+		t.Fatal(err)
+	}
 	w := []float64{0.4, -0.2, 0.9, 0.1}
 
-	s := ix.NewSearcher(w, 64)
-	// Warm-up: run the searcher to completion once so every buffer —
-	// including the candidate heap — reaches its high-water capacity.
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-	}
-	// Rewind by hand: a Searcher is single-use, but its buffers are what
-	// we are testing, so re-prime the same struct the way NewSearcher
-	// would and drain again under the allocation counter.
-	reset := func() {
-		s.remain = 64
-		s.k = 0
-		s.cand.Reset()
-		s.emit = s.emit[:0]
-		s.emitPos = 0
-		s.stats = Stats{}
-	}
-	reset()
-	avg := testing.AllocsPerRun(20, func() {
+	for _, tc := range []struct {
+		name  string
+		ix    *Index
+		limit int
+	}{
+		{"no-delta/64", ix, 64},
+		{"delta/10", withDelta, 10},
+		{"delta/100", withDelta, 100},
+	} {
+		s := tc.ix.NewSearcher(w, tc.limit)
+		// Warm-up: run the searcher to completion once so every buffer —
+		// including the candidate heap — reaches its high-water capacity.
 		for {
 			if _, ok := s.Next(); !ok {
 				break
 			}
 		}
+		// Rewind by hand: a Searcher is single-use, but its buffers are
+		// what we are testing, so re-prime the same struct the way
+		// NewSearcher would (delta ranking included) and drain again
+		// under the allocation counter.
+		reset := func() {
+			s.remain = tc.limit
+			s.k = 0
+			s.cand.Reset()
+			s.emit = s.emit[:0]
+			s.emitPos = 0
+			s.stats = Stats{}
+			if s.deltaRank != nil {
+				s.rankDelta()
+			}
+		}
 		reset()
-	})
-	if avg != 0 {
-		t.Fatalf("warm columnar search allocates %v times per run, want 0", avg)
+		avg := testing.AllocsPerRun(20, func() {
+			for {
+				if _, ok := s.Next(); !ok {
+					break
+				}
+			}
+			reset()
+		})
+		if avg != 0 {
+			t.Fatalf("%s: warm columnar search allocates %v times per run, want 0", tc.name, avg)
+		}
 	}
 }
 

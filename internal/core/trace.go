@@ -12,9 +12,15 @@ package core
 type TraceKind int
 
 const (
-	// TraceLayerEvaluated fires after a layer's records are scored.
+	// TraceLayerEvaluated fires after a layer's records are scored: ID
+	// and Score are the layer maximum (the Corollary 1 bound), which may
+	// be a tombstoned record; ID is 0 when shell tables skipped every
+	// record of the layer, and Score then the first skipped bound.
 	TraceLayerEvaluated TraceKind = iota
 	// TraceCandidateKept fires when a record enters the candidate set.
+	// Records scoring strictly below the layer's candidate floor never
+	// enter it (they cannot reach the answer), so only records at or
+	// above the floor are reported.
 	TraceCandidateKept
 	// TraceResultFromCandidates fires when a candidate from an outer
 	// layer is finalized because it beats the current layer's maximum.

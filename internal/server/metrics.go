@@ -63,7 +63,7 @@ type metrics struct {
 	searchLatency    *telemetry.Histogram
 	mutateLatency    *telemetry.Histogram
 	walCommitLatency *telemetry.Histogram // group-commit (append+fsync) time
-	compactLatency   *telemetry.Histogram // journal replay + swap of a finished fold
+	compactLatency   *telemetry.Histogram // a published fold, launch to swap: fold + journal replay + swap
 
 	vars *expvar.Map
 }

@@ -177,7 +177,7 @@ type Server struct {
 	// the delta buffer before it is swapped in.
 	compacting bool
 	journal    []wal.Mutation
-	compactCh  chan *core.Index
+	compactCh  chan foldResult
 
 	metrics *metrics
 }
@@ -198,7 +198,7 @@ func New(ix *core.Index, cfg Config) *Server {
 		ops:       make(chan op, 4*c.MaxBatchOps),
 		done:      make(chan struct{}),
 		cache:     cache.New(c.CacheBytes, c.CacheShards),
-		compactCh: make(chan *core.Index, 1),
+		compactCh: make(chan foldResult, 1),
 		metrics:   newMetrics(),
 	}
 	s.metrics.attachCache(s.cache)
@@ -319,8 +319,8 @@ func (s *Server) mutator() {
 				}
 			}
 			s.apply(batch)
-		case compacted := <-s.compactCh:
-			s.finishCompaction(compacted)
+		case fold := <-s.compactCh:
+			s.finishCompaction(fold)
 		}
 	}
 }
@@ -428,6 +428,14 @@ func (s *Server) apply(batch []op) {
 	}
 }
 
+// foldResult is a finished background fold: the compacted index (nil
+// when the fold failed) and when the fold was launched, so the
+// compaction latency covers fold, journal replay and swap.
+type foldResult struct {
+	ix    *core.Index
+	start time.Time
+}
+
 // maybeStartCompaction launches a background fold of cur's delta
 // buffer into its layered base once the buffer crosses the threshold.
 // The CompactedClone runs off the mutator goroutine — queries keep
@@ -439,13 +447,14 @@ func (s *Server) maybeStartCompaction(cur *core.Index) {
 	}
 	s.compacting = true
 	s.journal = nil
+	start := time.Now()
 	go func() {
 		compacted, err := cur.CompactedClone()
 		if err != nil {
 			s.metrics.compactionErrors.Add(1)
 			compacted = nil
 		}
-		s.compactCh <- compacted
+		s.compactCh <- foldResult{ix: compacted, start: start}
 	}()
 }
 
@@ -458,8 +467,8 @@ func (s *Server) maybeStartCompaction(cur *core.Index) {
 // frame is written — compaction changes no logical content, and crash
 // recovery replays the same operations through the delta buffer onto
 // whatever checkpoint exists.
-func (s *Server) finishCompaction(compacted *core.Index) {
-	start := time.Now()
+func (s *Server) finishCompaction(fold foldResult) {
+	compacted := fold.ix
 	journal := s.journal
 	s.journal = nil
 	s.compacting = false
@@ -486,7 +495,7 @@ func (s *Server) finishCompaction(compacted *core.Index) {
 	s.cache.Invalidate()
 	s.metrics.snapshotSwaps.Add(1)
 	s.metrics.compactions.Add(1)
-	s.metrics.compactLatency.Observe(time.Since(start))
+	s.metrics.compactLatency.Observe(time.Since(fold.start))
 	// The journal may have refilled the delta past the threshold while
 	// the fold ran; start the next round immediately.
 	s.maybeStartCompaction(compacted)

@@ -3,41 +3,72 @@
 // per-endpoint latencies and the durability layer's fsync and
 // checkpoint timings. It lived inside internal/server until the WAL
 // needed the same shape; the type is deliberately tiny so embedding it
-// costs one cache line per bucket and no locks.
+// costs no locks and one atomic add per bucket hit.
 package telemetry
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// Bucket bounds are upper bounds in nanoseconds, exponential from
-// 100µs. 22 doublings reach ~7 minutes; the last bucket is unbounded.
-const histBase = 100 * 1000 // 100µs in ns
-const histCount = 24
+// Buckets are log-linear, in the style of HDR histograms: durations are
+// counted in units of 2^histShift ns (128 ns); below 8 units (1.024 µs)
+// each unit is its own bucket, and from there every power of two is
+// split into histSub equal sub-buckets, so a bucket is at most 1/8 of
+// its lower bound wide. That keeps quantiles within ~12.5% from the
+// microsecond kernel calls of a top-10 query up to ~18 minutes; longer
+// samples share the last bucket. The bucket of a sample is found in
+// O(1) from its bit length.
+const (
+	histShift   = 7                    // bucket unit: 128 ns
+	histSubBits = 3                    // log2 of the sub-buckets per power of two
+	histSub     = 1 << histSubBits     // 8
+	histGroups  = 31                   // one linear group, then 30 octaves
+	histCount   = histGroups * histSub // 248 buckets
+)
 
-// Histogram is a lock-free exponential latency histogram. The zero
-// value is ready to use.
+// Histogram is a lock-free log-linear latency histogram. The zero value
+// is ready to use.
 type Histogram struct {
 	count   atomic.Int64
 	sumNs   atomic.Int64
 	buckets [histCount]atomic.Int64
 }
 
-func bucketBound(i int) int64 { return histBase << uint(i) }
+// bucketOf maps a duration in ns to its bucket index.
+func bucketOf(ns int64) int {
+	if ns < 0 {
+		ns = 0
+	}
+	v := uint64(ns) >> histShift
+	if v < histSub {
+		return int(v)
+	}
+	e := bits.Len64(v) - 1 // v lies in [2^e, 2^(e+1)), e >= histSubBits
+	i := (e-histSubBits+1)*histSub + int(v>>uint(e-histSubBits)) - histSub
+	if i >= histCount {
+		return histCount - 1
+	}
+	return i
+}
+
+// bucketRange returns bucket i's bounds [lo, hi) in ns.
+func bucketRange(i int) (lo, hi int64) {
+	g, s := i/histSub, int64(i%histSub)
+	if g == 0 {
+		return s << histShift, (s + 1) << histShift
+	}
+	lo = (histSub + s) << uint(g-1)
+	return lo << histShift, (lo + 1<<uint(g-1)) << histShift
+}
 
 // Observe folds one duration into the histogram.
 func (h *Histogram) Observe(d time.Duration) {
 	ns := d.Nanoseconds()
 	h.count.Add(1)
 	h.sumNs.Add(ns)
-	for i := 0; i < histCount-1; i++ {
-		if ns <= bucketBound(i) {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.buckets[histCount-1].Add(1)
+	h.buckets[bucketOf(ns)].Add(1)
 }
 
 // Count returns the number of observations.
@@ -53,21 +84,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := q * float64(total)
 	var acc int64
-	lo := int64(0)
+	var lo, hi int64
 	for i := 0; i < histCount; i++ {
 		c := h.buckets[i].Load()
-		hi := bucketBound(i)
-		if i == histCount-1 {
-			hi = 2 * bucketBound(histCount-2) // nominal cap for the overflow bucket
-		}
+		lo, hi = bucketRange(i)
 		if float64(acc+c) >= rank && c > 0 {
 			frac := (rank - float64(acc)) / float64(c)
 			return (float64(lo) + frac*float64(hi-lo)) / 1e6
 		}
 		acc += c
-		lo = hi
 	}
-	return float64(lo) / 1e6
+	// Concurrent observers raced the count load; the top bucket's
+	// bound is the best estimate left.
+	return float64(hi) / 1e6
 }
 
 // Summary renders the histogram for expvar: count, mean and the

@@ -255,3 +255,60 @@ func (h *MaxHeap) Reset() { h.items = h.items[:0] }
 // query processor scans it to count candidates that beat a layer's
 // score bound without disturbing the heap.
 func (h *MaxHeap) Items() []Item { return h.items }
+
+// KthLargest returns the k-th largest value of xs (k = 1 is the
+// maximum), reordering xs in place. It is a quickselect — Hoare
+// partitioning around a median-of-three pivot — so it runs in expected
+// O(len(xs)) time without allocating: the query walk calls it once per
+// layer over a scratch copy of the candidate scores to find the score
+// floor below which no record can reach the answer. k must lie in
+// [1, len(xs)].
+func KthLargest(xs []float64, k int) float64 {
+	if k < 1 || k > len(xs) {
+		panic("topk: KthLargest rank out of range")
+	}
+	t := k - 1 // target index once xs is in descending order
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi])
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] > p {
+				i++
+			}
+			for xs[j] < p {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] >= p >= xs[i..hi], and anything strictly
+		// between j and i equals p.
+		switch {
+		case t <= j:
+			hi = j
+		case t >= i:
+			lo = i
+		default:
+			return xs[t]
+		}
+	}
+	return xs[t]
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
+}

@@ -249,3 +249,38 @@ func TestMaxHeapReset(t *testing.T) {
 		t.Error("reset failed")
 	}
 }
+
+// TestKthLargestMatchesSort: the quickselect agrees with a full sort at
+// every rank, on inputs rich in duplicates (the candidate scores of a
+// tie-heavy corpus) as well as distinct ones.
+func TestKthLargestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		xs := make([]float64, n)
+		for i := range xs {
+			if trial%2 == 0 {
+				xs[i] = float64(rng.Intn(5))
+			} else {
+				xs[i] = rng.NormFloat64()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+		for k := 1; k <= n; k++ {
+			scratch := append([]float64(nil), xs...)
+			if got := KthLargest(scratch, k); got != sorted[k-1] {
+				t.Fatalf("trial %d: KthLargest(%v, %d) = %v, want %v", trial, xs, k, got, sorted[k-1])
+			}
+		}
+	}
+}
+
+func TestKthLargestPanicsOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KthLargest with k > len did not panic")
+		}
+	}()
+	KthLargest([]float64{1, 2}, 3)
+}

@@ -97,9 +97,12 @@ go run ./cmd/onionbench -build-scaling -n 8000 -build-workers 1,4 -build-out "$s
 # every pruning mode of the one slab walk — unpruned, layer-pruned and
 # shells — solo and through TopNBatch, against a brute-force scan for
 # every query (IDs, score bits, order) and against each other bitwise
-# (plus layers) at worker counts 1 and 4. Any divergence exits
-# non-zero. The committed BENCH_query.json is the full-size
-# (100k-point) run of the same gate.
+# (plus layers) at worker counts 1 and 4. Its delta-merge leg gates
+# the shipped walk over deltas of 256 and 1600 pending records (two
+# inserts per tombstone) against the same oracle before timing them,
+# so the bounded delta merge and the candidate floor run their oracle
+# here too. Any divergence exits non-zero. The committed
+# BENCH_query.json is the full-size (100k-point) run of the same gate.
 echo "== query path equivalence smoke (onionbench -query-scaling)"
 go run ./cmd/onionbench -query-scaling -n 3000 -queries 32 -query-workers 1,4 -query-out "$query_out"
 
